@@ -1,7 +1,6 @@
 package tlr
 
 import (
-	"context"
 	"io"
 	"sync"
 
@@ -13,111 +12,9 @@ import (
 // StreamBatch: a worker pool plus program and result caches that persist
 // across calls, so configuration sweeps pay for each distinct simulation
 // once.  cmd/tlrserve serves the same API over HTTP/JSON.
-//
-// This file also keeps the pre-Request batch surface (BatchJob,
-// Batcher.Measure, MeasureBatch) alive as thin deprecated wrappers.
 
-// BatchJob is one simulation request in the deprecated batch surface.
-//
-// Deprecated: use Request, which additionally covers the Pipeline and VP
-// kinds.  BatchJob remains as a conversion shim for existing callers.
-type BatchJob struct {
-	// ID is an opaque label echoed in the result (defaults to the
-	// job's index).
-	ID string
-
-	// Workload names a built-in benchmark (see Workloads).
-	Workload string
-	// Source is assembly text, assembled through the batch program
-	// cache.
-	Source string
-	// Prog is an already-assembled program.
-	Prog *Program
-
-	// Study runs the reuse limit studies (as MeasureReuse).
-	Study *StudyConfig
-	// RTM runs a realistic RTM simulation (as SimulateRTM) with the
-	// job's Skip/Budget bounds.
-	RTM *RTMConfig
-	// Skip and Budget bound an RTM simulation (ignored for Study jobs,
-	// which carry their own inside StudyConfig).
-	Skip, Budget uint64
-}
-
-// request converts the deprecated job to the unified model, preserving
-// BatchJob's documented quirk that Skip/Budget are ignored for Study
-// jobs (Request treats setting both as an error).
-func (j BatchJob) request() Request {
-	r := Request{
-		ID:       j.ID,
-		Workload: j.Workload,
-		Source:   j.Source,
-		Prog:     j.Prog,
-		Study:    j.Study,
-		RTM:      j.RTM,
-		Skip:     j.Skip,
-		Budget:   j.Budget,
-	}
-	if j.Study != nil {
-		r.Skip, r.Budget = 0, 0
-	}
-	return r
-}
-
-// BatchResult is one finished BatchJob.
-//
-// Deprecated: use Result, the unified form returned by Run, RunBatch and
-// StreamBatch.
-type BatchResult struct {
-	// Index is the job's position in the submitted slice; results from
-	// Measure are ordered by it.
-	Index int
-	ID    string
-	// Study is set for Study jobs, RTM for RTM jobs.
-	Study *StudyResult
-	RTM   *RTMResult
-	// Cached reports that the result came from the batch cache rather
-	// than a fresh simulation.
-	Cached bool
-	Err    error
-}
-
-// BatchStats counts batch-service traffic.
-type BatchStats struct {
-	Submitted   uint64 // requests accepted
-	Ran         uint64 // requests actually simulated
-	CacheHits   uint64 // requests answered from the result cache
-	Coalesced   uint64 // requests folded into an identical in-flight run
-	Errors      uint64 // requests that failed
-	Programs    int    // assembled programs currently cached
-	Results     int    // results currently cached
-	Traces      int    // recorded traces in the store's memory tier
-	TraceBytes  int64  // encoded bytes held by the memory tier
-	TraceHits   uint64 // trace-store lookups that found the digest
-	TraceMisses uint64 // trace-store lookups for unknown digests
-
-	TraceDisk      int    // recorded traces in the store's disk tier
-	TraceDiskBytes int64  // file bytes held by the disk tier
-	TraceSpills    uint64 // traces written through to the disk tier
-	TracePromotes  uint64 // disk hits decoded back into the memory tier
-
-	TracePeerFetches uint64 // traces pulled from peers into the local store
-	TracePeerRejects uint64 // peer trace bodies rejected (invalid or wrong digest)
-
-	ResultsOnDisk    int    // results in the persistent result cache
-	ResultDiskHits   uint64 // requests answered from the persistent result cache
-	ResultDiskWrites uint64 // results written through to the persistent cache
-
-	AnalyzeRuns     uint64 // reuse-distance analyses actually computed
-	AnalyzeHits     uint64 // analyses answered from cache (or coalesced)
-	IngestedTraces  uint64 // foreign traces ingested into the store
-	IngestedRecords uint64 // canonical records those ingests produced
-	IngestRejects   uint64 // malformed foreign lines dropped (lenient mode)
-
-	InflightJobs int64  // requests currently reserved via Reserve
-	MaxInflight  int    // admission budget (0: unlimited)
-	Shed         uint64 // reservations refused with ErrOverloaded
-}
+// BatchStats counts batch-service traffic (see Batcher.Stats).
+type BatchStats = service.Stats
 
 // BatchOptions sizes a Batcher.
 type BatchOptions struct {
@@ -130,7 +27,7 @@ type BatchOptions struct {
 	// (0 = 64 MiB).
 	TraceStoreBytes int64
 	// TraceDir, when non-empty, enables the trace store's disk tier: a
-	// directory of digest-named version-3 trace files behind the memory
+	// directory of digest-named version-4 trace files behind the memory
 	// LRU.  Stored traces are written through to it, memory evictions
 	// become free drops, and TraceRef resolution falls through
 	// memory → disk, replaying large disk-tier traces as incrementally
@@ -207,103 +104,7 @@ func (b *Batcher) Metrics() *metrics.Registry { return b.svc.Metrics() }
 func (b *Batcher) WriteMetrics(w io.Writer) error { return b.svc.Metrics().WritePrometheus(w) }
 
 // Stats returns a snapshot of the Batcher's traffic counters.
-func (b *Batcher) Stats() BatchStats {
-	st := b.svc.Stats()
-	return BatchStats{
-		Submitted:      st.Submitted,
-		Ran:            st.Ran,
-		CacheHits:      st.CacheHits,
-		Coalesced:      st.Coalesced,
-		Errors:         st.Errors,
-		Programs:       st.Programs,
-		Results:        st.Results,
-		Traces:         st.Traces,
-		TraceBytes:     st.TraceBytes,
-		TraceHits:      st.TraceHits,
-		TraceMisses:    st.TraceMisses,
-		TraceDisk:      st.TraceDisk,
-		TraceDiskBytes: st.TraceDiskBytes,
-		TraceSpills:    st.TraceSpills,
-		TracePromotes:  st.TracePromotes,
-
-		TracePeerFetches: st.TracePeerFetches,
-		TracePeerRejects: st.TracePeerRejects,
-
-		ResultsOnDisk:    st.ResultsOnDisk,
-		ResultDiskHits:   st.ResultDiskHits,
-		ResultDiskWrites: st.ResultDiskWrites,
-
-		AnalyzeRuns:     st.AnalyzeRuns,
-		AnalyzeHits:     st.AnalyzeHits,
-		IngestedTraces:  st.IngestedTraces,
-		IngestedRecords: st.IngestedRecords,
-		IngestRejects:   st.IngestRejects,
-
-		InflightJobs: st.InflightJobs,
-		MaxInflight:  st.MaxInflight,
-		Shed:         st.Shed,
-	}
-}
-
-// batchResult narrows a unified Result to the deprecated form.
-func batchResult(r Result) BatchResult {
-	return BatchResult{
-		Index:  r.Index,
-		ID:     r.ID,
-		Study:  r.Study,
-		RTM:    r.RTM,
-		Cached: r.Cached,
-		Err:    r.Err,
-	}
-}
-
-// Measure runs a batch and returns the results ordered by job index.
-// If any jobs failed, the returned error joins every failure (results
-// are still returned in full, so callers can inspect every job's
-// outcome).
-//
-// Deprecated: use RunBatch, which takes a context and covers all four
-// simulation kinds.
-func (b *Batcher) Measure(jobs []BatchJob) ([]BatchResult, error) {
-	res, err := b.RunBatch(context.Background(), requests(jobs))
-	if res == nil {
-		return nil, err
-	}
-	out := make([]BatchResult, len(res))
-	for i, r := range res {
-		out[i] = batchResult(r)
-	}
-	return out, err
-}
-
-// Stream submits a batch and returns a channel streaming each result as
-// its simulation finishes (completion order, exactly len(jobs) results).
-// Malformed jobs fail the whole batch before any simulation starts.
-//
-// Deprecated: use StreamBatch, which takes a context and covers all
-// four simulation kinds.
-func (b *Batcher) Stream(jobs []BatchJob) (<-chan BatchResult, error) {
-	stream, err := b.StreamBatch(context.Background(), requests(jobs))
-	if err != nil {
-		return nil, err
-	}
-	out := make(chan BatchResult, cap(stream))
-	go func() {
-		defer close(out)
-		for r := range stream {
-			out <- batchResult(r)
-		}
-	}()
-	return out, nil
-}
-
-func requests(jobs []BatchJob) []Request {
-	reqs := make([]Request, len(jobs))
-	for i, j := range jobs {
-		reqs[i] = j.request()
-	}
-	return reqs
-}
+func (b *Batcher) Stats() BatchStats { return b.svc.Stats() }
 
 // The package-level Batcher behind Run/RunBatch/StreamBatch, started on
 // first use.
@@ -318,11 +119,4 @@ var (
 func DefaultBatcher() *Batcher {
 	defaultBatcherOnce.Do(func() { defaultBatcher = NewBatcher(BatchOptions{}) })
 	return defaultBatcher
-}
-
-// MeasureBatch runs a batch of simulation jobs on the shared Batcher.
-//
-// Deprecated: use RunBatch.
-func MeasureBatch(jobs []BatchJob) ([]BatchResult, error) {
-	return DefaultBatcher().Measure(jobs)
 }

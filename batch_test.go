@@ -1,18 +1,20 @@
 package tlr
 
 import (
+	"context"
 	"testing"
 )
 
 func TestMeasureBatchMixedKinds(t *testing.T) {
-	jobs := []BatchJob{
+	ctx := context.Background()
+	reqs := []Request{
 		{Workload: "compress", RTM: &RTMConfig{Geometry: Geometry512, Heuristic: ILREXP},
 			Skip: 500, Budget: 10_000},
 		{Workload: "li", Study: &StudyConfig{Budget: 10_000, Skip: 500, Window: 256}},
 	}
 	b := NewBatcher(BatchOptions{Workers: 2})
 	defer b.Close()
-	res, err := b.Measure(jobs)
+	res, err := b.RunBatch(ctx, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,13 +28,13 @@ func TestMeasureBatchMixedKinds(t *testing.T) {
 		t.Errorf("TLR speedup %v < 1", res[1].Study.TLR.Speedups)
 	}
 
-	// The same study through the direct facade must agree exactly.
+	// The same study through the package-level Run must agree exactly.
 	w, _ := WorkloadByName("li")
 	prog, err := w.Program()
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := MeasureReuse(prog, StudyConfig{Budget: 10_000, Skip: 500, Window: 256})
+	direct, err := runStudy(prog, StudyConfig{Budget: 10_000, Skip: 500, Window: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +44,7 @@ func TestMeasureBatchMixedKinds(t *testing.T) {
 	}
 
 	// Rerunning the batch is answered from cache with identical values.
-	res2, err := b.Measure(jobs)
+	res2, err := b.RunBatch(ctx, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,13 +70,13 @@ loop:   ldi  r1, 7
         bgtz r9, loop
         halt
 `
-	jobs := []BatchJob{
+	reqs := []Request{
 		{Source: src, RTM: &RTMConfig{Geometry: Geometry512, Heuristic: IEXP, N: 2}, Budget: 5_000},
 		{Source: src, RTM: &RTMConfig{Geometry: Geometry512, Heuristic: IEXP, N: 2}, Budget: 5_000},
 	}
 	b := NewBatcher(BatchOptions{Workers: 2})
 	defer b.Close()
-	res, err := b.Measure(jobs)
+	res, err := b.RunBatch(context.Background(), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +92,7 @@ loop:   ldi  r1, 7
 func TestMeasureBatchValidation(t *testing.T) {
 	b := NewBatcher(BatchOptions{Workers: 1})
 	defer b.Close()
-	bad := [][]BatchJob{
+	bad := [][]Request{
 		{{RTM: &RTMConfig{Geometry: Geometry512}, Budget: 100}},                   // no program
 		{{Workload: "compress"}},                                                  // no config
 		{{Workload: "nope", RTM: &RTMConfig{Geometry: Geometry512}, Budget: 100}}, // unknown workload
@@ -98,8 +100,8 @@ func TestMeasureBatchValidation(t *testing.T) {
 		{{Workload: "compress", Source: "x",
 			RTM: &RTMConfig{Geometry: Geometry512}, Budget: 100}}, // two programs
 	}
-	for i, jobs := range bad {
-		if _, err := b.Measure(jobs); err == nil {
+	for i, reqs := range bad {
+		if _, err := b.RunBatch(context.Background(), reqs); err == nil {
 			t.Errorf("case %d: expected validation error", i)
 		}
 	}

@@ -162,7 +162,7 @@ type sweepBench struct {
 	DecodeSpeedup              float64 `json:"decodeSpeedup"`
 
 	// Streamed (on-disk) replay memory: heap bytes allocated by one
-	// full incremental replay of a version-3 file at two stream lengths
+	// full incremental replay of a version-4 file at two stream lengths
 	// (see replaybench.MeasureStreamMemory).  The constant-memory gate:
 	// allocation per replayed record must stay a tiny constant —
 	// marginal cost well under a byte per record (compress/flate's

@@ -76,17 +76,17 @@ func TestSuiteStateIndependence(t *testing.T) {
 	}
 }
 
-// TestFacadeMatchesInternalPipeline checks that the public MeasureReuse
-// and the experiment harness agree on the same program and budget.  The
-// second measurement runs on a fresh Batcher so it cannot be a cache
-// hit of the first — the comparison is between two real simulations.
+// TestFacadeMatchesInternalPipeline checks that a Study run on the
+// shared Batcher and the same Study on a fresh Batcher agree.  The
+// fresh Batcher cannot answer from a cache, so the comparison is
+// between two real simulations.
 func TestFacadeMatchesInternalPipeline(t *testing.T) {
 	w, _ := WorkloadByName("gcc")
 	prog, err := w.Program()
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := MeasureReuse(prog, StudyConfig{Budget: 30_000, Skip: 1_000, Window: 256})
+	res, err := runStudy(prog, StudyConfig{Budget: 30_000, Skip: 1_000, Window: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestFacadeMatchesInternalPipeline(t *testing.T) {
 	}
 	res2 := *r2.Study
 	if res.ILR.Reusable != res2.ILR.Reusable || res.TLR.BaseCycles != res2.TLR.BaseCycles {
-		t.Error("MeasureReuse is not deterministic")
+		t.Error("the Study kind is not deterministic")
 	}
 	if res.ILR.BaseCycles != res.TLR.BaseCycles {
 		t.Error("both engines must model the same base machine")
@@ -121,7 +121,7 @@ func TestWindowSweepMonotonicOnRealWorkload(t *testing.T) {
 	}
 	prev := -1.0
 	for _, win := range []int{16, 64, 256, 1024, 0} {
-		res, err := MeasureReuse(prog, StudyConfig{Budget: 20_000, Window: win})
+		res, err := runStudy(prog, StudyConfig{Budget: 20_000, Window: win})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +140,7 @@ func TestReuseLatencySweepOnRealWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := MeasureReuse(prog, StudyConfig{
+	res, err := runStudy(prog, StudyConfig{
 		Budget:       30_000,
 		Skip:         2_000,
 		ILRLatencies: []float64{1, 2, 4, 8},
@@ -158,14 +158,14 @@ func TestReuseLatencySweepOnRealWorkload(t *testing.T) {
 	}
 }
 
-// TestHaltingProgramEndsStudiesCleanly: MeasureReuse over a program that
+// TestHaltingProgramEndsStudiesCleanly: a Study over a program that
 // halts mid-budget must not hang or error.
 func TestHaltingProgramEndsStudiesCleanly(t *testing.T) {
 	prog, err := Assemble("main: ldi r1, 5\n addi r1, r1, 1\n halt\n")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := MeasureReuse(prog, StudyConfig{Budget: 1000})
+	res, err := runStudy(prog, StudyConfig{Budget: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}

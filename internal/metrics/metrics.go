@@ -65,8 +65,18 @@ func (c *Counter) Value() uint64 {
 	return c.v.Load()
 }
 
+// float returns the count at full precision: a func-backed counter
+// reports its function's value untruncated, so a sub-unit total such
+// as seconds of GC pause renders as a fraction, not as 0.
+func (c *Counter) float() float64 {
+	if c.fn != nil {
+		return c.fn()
+	}
+	return float64(c.v.Load())
+}
+
 func (c *Counter) write(w io.Writer, name, labels string) {
-	fmt.Fprintf(w, "%s%s %s\n", name, labels, formatFloat(float64(c.Value())))
+	fmt.Fprintf(w, "%s%s %s\n", name, labels, formatFloat(c.float()))
 }
 
 // Gauge is a cell that can go up and down.  When fn is non-nil the
@@ -543,7 +553,7 @@ func (r *Registry) Value(name string, labelValues ...string) (float64, bool) {
 	}
 	switch m := c.(type) {
 	case *Counter:
-		return float64(m.Value()), true
+		return m.float(), true
 	case *Gauge:
 		return m.Value(), true
 	case *Histogram:

@@ -133,6 +133,23 @@ func TestRegistryValue(t *testing.T) {
 	}
 }
 
+// TestCounterFuncFraction: a func-backed counter with a sub-unit total
+// (seconds of GC pause, say) is exported and read back unrounded.
+func TestCounterFuncFraction(t *testing.T) {
+	r := NewRegistry()
+	r.CounterFunc("pause_seconds_total", "", func() float64 { return 0.25 })
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "\npause_seconds_total 0.25\n") {
+		t.Errorf("exposition lost the fraction:\n%s", buf.String())
+	}
+	if v, ok := r.Value("pause_seconds_total"); !ok || v != 0.25 {
+		t.Errorf("Value(pause_seconds_total) = %v, %v, want 0.25", v, ok)
+	}
+}
+
 func TestHistogramQuantile(t *testing.T) {
 	h := newHistogram([]float64{1, 2, 4, 8})
 	// 100 samples uniform in (0, 1]: p50 ~ 0.5 within the first bucket

@@ -92,14 +92,7 @@ type RTM struct {
 	tick   uint64
 	stats  Stats
 	inval  *invalIndex // non-nil: the §3.3 valid-bit reuse test is active
-
-	// Set addressing: the global set index is pc & pcMask; this instance
-	// holds it at sets[(pc&pcMask)>>pcShift].  A standalone RTM owns every
-	// set (pcMask = Sets-1, pcShift = 0); a Sharded stripe owns the global
-	// sets whose low pcShift index bits equal its shard id, so striping
-	// reproduces the unsharded set mapping exactly.
-	pcMask  uint64
-	pcShift uint
+	pcMask uint64      // Sets-1: a PC's set index is pc & pcMask
 }
 
 // New builds an empty RTM with the given geometry.  minLen is the minimum
@@ -113,37 +106,12 @@ func New(geom Geometry, minLen int) *RTM {
 		minLen = 1
 	}
 	return &RTM{
-		geom:    geom,
-		minLen:  minLen,
-		sets:    make([][]*pcSlot, geom.Sets),
-		pcMask:  uint64(geom.Sets - 1),
-		pcShift: 0,
+		geom:   geom,
+		minLen: minLen,
+		sets:   make([][]*pcSlot, geom.Sets),
+		pcMask: uint64(geom.Sets - 1),
 	}
 }
-
-// newShard builds the stripe of a Sharded RTM owning 1/nshards of geom's
-// sets (those whose set index is ≡ shard mod nshards).
-func newShard(geom Geometry, minLen, nshards int) *RTM {
-	local := geom
-	local.Sets = geom.Sets / nshards
-	m := New(local, minLen)
-	m.pcMask = uint64(geom.Sets - 1)
-	m.pcShift = uint(log2(nshards))
-	return m
-}
-
-// log2 of a power of two.
-func log2(n int) int {
-	b := 0
-	for n > 1 {
-		n >>= 1
-		b++
-	}
-	return b
-}
-
-// Geometry returns the RTM's shape.
-func (m *RTM) Geometry() Geometry { return m.geom }
 
 // Stats returns a copy of the traffic counters.
 func (m *RTM) Stats() Stats { return m.stats }
@@ -159,7 +127,7 @@ func (m *RTM) Stored() int {
 	return n
 }
 
-func (m *RTM) setOf(pc uint64) int { return int((pc & m.pcMask) >> m.pcShift) }
+func (m *RTM) setOf(pc uint64) int { return int(pc & m.pcMask) }
 
 func (m *RTM) slotOf(pc uint64) *pcSlot {
 	for _, slot := range m.sets[m.setOf(pc)] {

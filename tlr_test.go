@@ -1,6 +1,7 @@
 package tlr
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -19,6 +20,24 @@ inner:  add  r2, r2, r1
         .data
 sum:    .space 1
 `
+
+// runStudy runs one limit study on prog through Run.
+func runStudy(prog *Program, cfg StudyConfig) (StudyResult, error) {
+	res, err := Run(context.Background(), Request{Prog: prog, Study: &cfg})
+	if err != nil {
+		return StudyResult{}, err
+	}
+	return *res.Study, nil
+}
+
+// runPipeline runs prog on the pipeline model through Run.
+func runPipeline(prog *Program, cfg PipelineConfig, skip, budget uint64) (PipelineResult, error) {
+	res, err := Run(context.Background(), Request{Prog: prog, Pipeline: &cfg, Skip: skip, Budget: budget})
+	if err != nil {
+		return PipelineResult{}, err
+	}
+	return *res.Pipeline, nil
+}
 
 func TestAssembleAndDisassemble(t *testing.T) {
 	p, err := Assemble(testLoop)
@@ -40,7 +59,7 @@ func TestMeasureReuseOnLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := MeasureReuse(p, StudyConfig{Budget: 1000, Window: 256})
+	res, err := runStudy(p, StudyConfig{Budget: 1000, Window: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +84,7 @@ func TestMeasureReuseDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := MeasureReuse(p, StudyConfig{Budget: 500})
+	res, err := runStudy(p, StudyConfig{Budget: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +95,7 @@ func TestMeasureReuseDefaults(t *testing.T) {
 
 func TestMeasureReuseRequiresBudget(t *testing.T) {
 	p, _ := Assemble(testLoop)
-	if _, err := MeasureReuse(p, StudyConfig{}); err == nil {
+	if _, err := runStudy(p, StudyConfig{}); err == nil {
 		t.Error("zero budget should error")
 	}
 }
@@ -108,11 +127,11 @@ x:      .space 1
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := MeasureReuse(p, StudyConfig{Budget: 200})
+	cold, err := runStudy(p, StudyConfig{Budget: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := MeasureReuse(p, StudyConfig{Budget: 200, Skip: 300})
+	warm, err := runStudy(p, StudyConfig{Budget: 200, Skip: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +153,7 @@ func TestWorkloadsFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := MeasureReuse(prog, StudyConfig{Budget: 5_000, Skip: 1_000})
+	res, err := runStudy(prog, StudyConfig{Budget: 5_000, Skip: 1_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,10 +168,15 @@ func TestSimulateRTMFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SimulateRTM(prog, RTMConfig{Geometry: Geometry4K, Heuristic: IEXP, N: 4}, 0, 30_000)
+	out, err := Run(context.Background(), Request{
+		Prog:   prog,
+		RTM:    &RTMConfig{Geometry: Geometry4K, Heuristic: IEXP, N: 4},
+		Budget: 30_000,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := out.RTM
 	if res.Total() < 30_000 {
 		t.Errorf("Total = %d", res.Total())
 	}
@@ -181,11 +205,11 @@ func TestStrictStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ub, err := MeasureReuse(p, StudyConfig{Budget: 1000})
+	ub, err := runStudy(p, StudyConfig{Budget: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := MeasureReuse(p, StudyConfig{Budget: 1000, Strict: true, MaxRunLen: 8})
+	st, err := runStudy(p, StudyConfig{Budget: 1000, Strict: true, MaxRunLen: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +224,7 @@ func TestSimulatePipelineFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := SimulatePipeline(prog, PipelineConfig{}, 1_000, 30_000)
+	base, err := runPipeline(prog, PipelineConfig{}, 1_000, 30_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +232,7 @@ func TestSimulatePipelineFacade(t *testing.T) {
 		t.Fatalf("base IPC %.2f outside (0, 4]", base.IPC())
 	}
 	rcfg := RTMConfig{Geometry: Geometry256K, Heuristic: ILRNE}
-	reuse, err := SimulatePipeline(prog, PipelineConfig{RTM: &rcfg, WaitForOperands: true}, 1_000, 30_000)
+	reuse, err := runPipeline(prog, PipelineConfig{RTM: &rcfg, WaitForOperands: true}, 1_000, 30_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,10 +249,12 @@ func TestMeasureValuePrediction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := MeasureValuePrediction(p, StudyConfig{Budget: 1000, Window: 256})
+	ctx := context.Background()
+	out, err := Run(ctx, Request{Prog: p, VP: &VPConfig{Window: 256}, Budget: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := out.VP
 	if res.Instructions != 1000 {
 		t.Fatalf("Instructions = %d", res.Instructions)
 	}
@@ -240,7 +266,7 @@ func TestMeasureValuePrediction(t *testing.T) {
 	if res.Speedup < 1 {
 		t.Errorf("speedup %.2f < 1", res.Speedup)
 	}
-	if _, err := MeasureValuePrediction(p, StudyConfig{}); err == nil {
+	if _, err := Run(ctx, Request{Prog: p, VP: &VPConfig{}}); err == nil {
 		t.Error("zero budget should error")
 	}
 }

@@ -312,6 +312,11 @@ func (r *Request) UnmarshalJSON(data []byte) error {
 		Budget:   j.Budget,
 	}
 	if tj := j.Trace; tj != nil {
+		if j.Workload != "" || j.Source != "" {
+			// MarshalJSON refuses the same combination, so an accepted
+			// request always re-encodes.
+			return errors.New("tlr: request sets more than one of Workload, Source, Prog, Trace")
+		}
 		if tj.V < 0 || tj.V > TraceRefVersion {
 			return fmt.Errorf("tlr: unsupported trace reference version %d (this build speaks <= %d)", tj.V, TraceRefVersion)
 		}

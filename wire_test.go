@@ -1,6 +1,7 @@
 package tlr
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"reflect"
@@ -166,4 +167,46 @@ func TestHeuristicNames(t *testing.T) {
 	if _, err := ParseHeuristic("bogus"); err == nil {
 		t.Error("bogus heuristic should fail to parse")
 	}
+}
+
+// FuzzRequestJSON drives the request decoder — the untrusted JSON every
+// tlrserve run and batch body goes through — with arbitrary bytes.  It
+// must never panic, and any request it accepts must survive the wire:
+// re-marshalled, decoded again and re-marshalled, it encodes to the
+// same bytes.
+func FuzzRequestJSON(f *testing.F) {
+	for _, seed := range []string{
+		`{"workload": "gcc", "study": {"budget": 1000, "window": 256, "tlrConst": [1], "tlrProp": [0.5]}}`,
+		`{"v": 1, "workload": "li", "kind": "rtm", "rtm": {"geometry": {"sets": 64, "pcWays": 4, "tracesPerPC": 4}, "heuristic": "ILR EXP"}, "skip": 10, "budget": 2000}`,
+		`{"source": "main: halt\n", "pipeline": {"fetchWidth": 4, "rtm": {"geometry": {"sets": 32, "pcWays": 1, "tracesPerPC": 1}, "heuristic": "IEXP", "n": 2}}, "budget": 100}`,
+		`{"id": "v", "workload": "compress", "vp": {"window": 64, "predLat": 2}, "budget": 500}`,
+		`{"trace": {"digest": "sha256:00"}, "analyze": {}}`,
+		`{"trace": {"v": 1, "digest": "sha256:0123456789abcdef"}, "study": {"budget": 100}}`,
+		// Once accepted although MarshalJSON refuses a trace beside a
+		// workload.
+		`{"workload": "li", "trace": {"digest": "x"}, "vp": {}}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var req Request
+		if err := json.Unmarshal(data, &req); err != nil {
+			return
+		}
+		first, err := json.Marshal(req)
+		if err != nil {
+			t.Fatalf("accepted request does not marshal: %v\ninput %q", err, data)
+		}
+		var back Request
+		if err := json.Unmarshal(first, &back); err != nil {
+			t.Fatalf("re-marshalled request does not decode: %v\nwire %s", err, first)
+		}
+		second, err := json.Marshal(back)
+		if err != nil {
+			t.Fatalf("decoded wire form does not marshal: %v\nwire %s", err, first)
+		}
+		if !bytes.Equal(first, second) {
+			t.Fatalf("wire form not stable:\nfirst  %s\nsecond %s", first, second)
+		}
+	})
 }
