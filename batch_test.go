@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-func TestMeasureBatchMixedKinds(t *testing.T) {
+func TestRunBatchMixedKinds(t *testing.T) {
 	ctx := context.Background()
 	reqs := []Request{
 		{Workload: "compress", RTM: &RTMConfig{Geometry: Geometry512, Heuristic: ILREXP},
@@ -61,7 +61,7 @@ func TestMeasureBatchMixedKinds(t *testing.T) {
 	}
 }
 
-func TestMeasureBatchSourceJobs(t *testing.T) {
+func TestRunBatchSharesIdenticalSourceJobs(t *testing.T) {
 	const src = `
 main:   ldi  r9, 1000000
 loop:   ldi  r1, 7
@@ -89,7 +89,7 @@ loop:   ldi  r1, 7
 	}
 }
 
-func TestMeasureBatchValidation(t *testing.T) {
+func TestRunBatchRejectsInvalidRequests(t *testing.T) {
 	b := NewBatcher(BatchOptions{Workers: 1})
 	defer b.Close()
 	bad := [][]Request{

@@ -162,7 +162,8 @@ type TLRStudy struct {
 	base   *dda.Clock
 	clocks []*dda.Clock
 
-	run []trace.Exec // buffered current run of reusable instructions
+	run []trace.Exec     // buffered current run of reusable instructions
+	sum trace.Summarizer // reused by every flush
 
 	n      int64
 	reused int64
@@ -222,7 +223,11 @@ func (s *TLRStudy) flush() {
 	if len(s.run) == 0 {
 		return
 	}
-	sum := trace.SummarizeRun(s.run)
+	s.sum.Reset()
+	for i := range s.run {
+		s.sum.Add(&s.run[i])
+	}
+	sum := s.sum.View() // read-only below; valid until the next flush
 
 	reusable := true
 	if s.strict != nil {

@@ -29,7 +29,7 @@ import "github.com/tracereuse/tlr/internal/trace"
 type Clock struct {
 	window int // 0 = infinite
 
-	ready map[trace.Loc]float64
+	ready trace.LocMap[float64] // completion time of each location's latest producer
 
 	ring  []float64 // graduation times of the last `window` occupying instrs
 	head  int       // ring insert position
@@ -42,10 +42,7 @@ type Clock struct {
 
 // New returns a Clock for the given window size (0 or negative = infinite).
 func New(window int) *Clock {
-	c := &Clock{
-		window: max(window, 0),
-		ready:  make(map[trace.Loc]float64, 1024),
-	}
+	c := &Clock{window: max(window, 0)}
 	if c.window > 0 {
 		c.ring = make([]float64, c.window)
 	}
@@ -57,14 +54,14 @@ func (c *Clock) Window() int { return c.window }
 
 // ReadyOf returns the completion time of the latest producer of loc (zero
 // if the location is live-in to the whole program).
-func (c *Clock) ReadyOf(loc trace.Loc) float64 { return c.ready[loc] }
+func (c *Clock) ReadyOf(loc trace.Loc) float64 { return c.ready.Get(loc) }
 
 // InReady returns the earliest cycle at which all of e's inputs are
 // available: the max completion time over its producers.
 func (c *Clock) InReady(e *trace.Exec) float64 {
 	var t float64
 	for _, r := range e.Inputs() {
-		if rt := c.ready[r.Loc]; rt > t {
+		if rt := c.ready.Get(r.Loc); rt > t {
 			t = rt
 		}
 	}
@@ -96,7 +93,7 @@ func (c *Clock) Retire(e *trace.Exec, completion float64, occupies bool) {
 // and graduating — at completion.
 func (c *Clock) RetireSplit(e *trace.Exec, completion, valueReady float64, occupies bool) {
 	for _, r := range e.Outputs() {
-		c.ready[r.Loc] = valueReady
+		c.ready.Set(r.Loc, valueReady)
 	}
 	if completion > c.prefixMax {
 		c.prefixMax = completion

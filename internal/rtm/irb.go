@@ -10,11 +10,16 @@ import (
 // entries as the RTM").  It mirrors the RTM's geometry: Sets sets,
 // PCWays static instructions per set, TracesPerPC input vectors per
 // static instruction, all LRU.
+//
+// Input vectors are stored inline as the instruction's operand
+// references and compared ref by ref, which is exactly equality of the
+// byte signatures trace.AppendInputSignature would build.  Evicted PC
+// slots and vector entries are recycled in place, so a full IRB
+// allocates nothing per test.
 type IRB struct {
-	geom   Geometry
-	sets   [][]*irbSlot
-	tick   uint64
-	sigBuf []byte
+	geom Geometry
+	sets [][]*irbSlot
+	tick uint64
 
 	tests uint64
 	hits  uint64
@@ -22,13 +27,29 @@ type IRB struct {
 
 type irbSlot struct {
 	pc      uint64
-	sigs    []irbSig
+	vecs    []irbVec
 	lastUse uint64
 }
 
-type irbSig struct {
-	sig     string
+// irbVec is one recorded input vector: the first n refs of in.
+type irbVec struct {
+	in      [3]trace.Ref
+	n       uint8
 	lastUse uint64
+}
+
+// matches reports whether e read exactly the locations and values of v,
+// in the same order.
+func (v *irbVec) matches(e *trace.Exec) bool {
+	if v.n != e.NIn {
+		return false
+	}
+	for i := range v.in[:v.n] {
+		if v.in[i] != e.In[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // NewIRB builds an empty instruction-reuse buffer with the RTM's geometry.
@@ -55,32 +76,27 @@ func (b *IRB) TestAndRecord(e *trace.Exec) bool {
 		}
 	}
 	if slot == nil {
-		slot = &irbSlot{pc: e.PC}
-		if len(b.sets[set]) >= b.geom.PCWays {
-			b.evictLRUSlot(set)
-		}
-		b.sets[set] = append(b.sets[set], slot)
+		slot = b.claimSlot(set, e.PC)
 	}
 	slot.lastUse = b.tick
 
-	b.sigBuf = trace.AppendInputSignature(b.sigBuf[:0], e)
-	for i := range slot.sigs {
-		if slot.sigs[i].sig == string(b.sigBuf) {
-			slot.sigs[i].lastUse = b.tick
+	for i := range slot.vecs {
+		if slot.vecs[i].matches(e) {
+			slot.vecs[i].lastUse = b.tick
 			b.hits++
 			return true
 		}
 	}
-	if len(slot.sigs) >= b.geom.TracesPerPC {
+	if len(slot.vecs) >= b.geom.TracesPerPC {
 		victim, vi := uint64(1)<<63, -1
-		for i := range slot.sigs {
-			if slot.sigs[i].lastUse < victim {
-				victim, vi = slot.sigs[i].lastUse, i
+		for i := range slot.vecs {
+			if slot.vecs[i].lastUse < victim {
+				victim, vi = slot.vecs[i].lastUse, i
 			}
 		}
-		slot.sigs = append(slot.sigs[:vi], slot.sigs[vi+1:]...)
+		slot.vecs = append(slot.vecs[:vi], slot.vecs[vi+1:]...)
 	}
-	slot.sigs = append(slot.sigs, irbSig{sig: string(b.sigBuf), lastUse: b.tick})
+	slot.vecs = append(slot.vecs, irbVec{in: e.In, n: e.NIn, lastUse: b.tick})
 	return false
 }
 
@@ -92,12 +108,25 @@ func (b *IRB) HitRate() float64 {
 	return float64(b.hits) / float64(b.tests)
 }
 
-func (b *IRB) evictLRUSlot(set int) {
+// claimSlot returns an empty slot for pc at the end of its set: a new one
+// while the set has room, otherwise the least-recently-used slot, moved
+// to the end and cleared (its vector storage kept).
+func (b *IRB) claimSlot(set int, pc uint64) *irbSlot {
+	ways := b.sets[set]
+	if len(ways) < b.geom.PCWays {
+		slot := &irbSlot{pc: pc}
+		b.sets[set] = append(ways, slot)
+		return slot
+	}
 	victim, vi := uint64(1)<<63, -1
-	for i, s := range b.sets[set] {
+	for i, s := range ways {
 		if s.lastUse < victim {
 			victim, vi = s.lastUse, i
 		}
 	}
-	b.sets[set] = append(b.sets[set][:vi], b.sets[set][vi+1:]...)
+	slot := ways[vi]
+	copy(ways[vi:], ways[vi+1:])
+	ways[len(ways)-1] = slot
+	slot.pc, slot.vecs = pc, slot.vecs[:0]
+	return slot
 }

@@ -269,17 +269,18 @@ type collector interface {
 	irbRate() float64
 }
 
-// ilrCollector implements ILR NE and ILR EXP.
+// ilrCollector implements ILR NE and ILR EXP.  Its Summarizers are
+// reused across traces: an empty Summarizer means "no trace".
 type ilrCollector struct {
 	rtm    *RTM
 	irb    *IRB
 	caps   trace.Caps
 	expand bool
 
-	cur *trace.Summarizer // trace being collected (reusable instructions)
+	cur trace.Summarizer // trace being collected (reusable instructions)
 
-	pending    *trace.Summarizer // expansion of a reused trace (EXP only)
-	pendingLen int               // length of the seed entry
+	pending    trace.Summarizer // expansion of a reused trace (EXP only)
+	pendingLen int              // length of the seed entry
 }
 
 func (c *ilrCollector) observe(e *trace.Exec) {
@@ -289,16 +290,12 @@ func (c *ilrCollector) observe(e *trace.Exec) {
 		c.finalizePending()
 		return
 	}
-	if c.cur == nil {
-		c.cur = trace.NewSummarizer()
-	}
 	if !c.cur.TryAdd(e, c.caps) {
 		// Entry format full: store what we have, restart at e.
 		c.finalizeCur()
-		c.cur = trace.NewSummarizer()
 		c.cur.TryAdd(e, c.caps)
 	}
-	if c.pending != nil {
+	if !c.pending.Empty() {
 		if !c.pending.TryAdd(e, c.caps) {
 			c.finalizePending()
 		}
@@ -310,14 +307,13 @@ func (c *ilrCollector) reuseHit(entry *Entry) {
 	if !c.expand {
 		return
 	}
-	if c.pending != nil {
+	if !c.pending.Empty() {
 		// Two consecutive traces reused: merge them into one entry.
 		if c.pending.NextPC() == entry.Sum.StartPC && c.pending.TryMerge(&entry.Sum, c.caps) {
 			return
 		}
 		c.finalizePending()
 	}
-	c.pending = trace.NewSummarizer()
 	c.pending.Seed(&entry.Sum)
 	c.pendingLen = entry.Sum.Len
 }
@@ -330,29 +326,30 @@ func (c *ilrCollector) finish() {
 func (c *ilrCollector) irbRate() float64 { return c.irb.HitRate() }
 
 func (c *ilrCollector) finalizeCur() {
-	if c.cur != nil && !c.cur.Empty() {
+	if !c.cur.Empty() {
 		c.rtm.Insert(c.cur.Summary())
 	}
-	c.cur = nil
+	c.cur.Reset()
 }
 
 func (c *ilrCollector) finalizePending() {
-	if c.pending != nil && c.pending.Len() > c.pendingLen {
+	if c.pending.Len() > c.pendingLen {
 		c.rtm.Insert(c.pending.Summary())
 	}
-	c.pending = nil
+	c.pending.Reset()
 }
 
 // fixedCollector implements I(n) EXP: fixed n-instruction traces of any
-// instructions, expanded by n on reuse.
+// instructions, expanded by n on reuse.  As in ilrCollector, an empty
+// Summarizer means "no trace".
 type fixedCollector struct {
 	rtm  *RTM
 	caps trace.Caps
 	n    int
 
-	cur *trace.Summarizer
+	cur trace.Summarizer
 
-	pending      *trace.Summarizer
+	pending      trace.Summarizer
 	pendingBase  int // length of the seed entry
 	pendingExtra int // instructions appended since the seed
 }
@@ -365,19 +362,15 @@ func (c *fixedCollector) observe(e *trace.Exec) {
 		c.finalizePending()
 		return
 	}
-	if c.cur == nil {
-		c.cur = trace.NewSummarizer()
-	}
 	if !c.cur.TryAdd(e, c.caps) {
 		c.finalizeCur()
-		c.cur = trace.NewSummarizer()
 		c.cur.TryAdd(e, c.caps)
 	}
 	if c.cur.Len() >= c.n {
 		c.finalizeCur()
 	}
 
-	if c.pending != nil {
+	if !c.pending.Empty() {
 		if !c.pending.TryAdd(e, c.caps) {
 			c.finalizePending()
 		} else {
@@ -392,8 +385,8 @@ func (c *fixedCollector) observe(e *trace.Exec) {
 func (c *fixedCollector) reuseHit(entry *Entry) {
 	// A partial fixed-length trace interrupted by a hit is an arbitrary
 	// cut: drop it rather than polluting the table.
-	c.cur = nil
-	if c.pending != nil {
+	c.cur.Reset()
+	if !c.pending.Empty() {
 		// Consecutive reuses: merge the new trace into the expansion.
 		if c.pending.NextPC() == entry.Sum.StartPC && c.pending.TryMerge(&entry.Sum, c.caps) {
 			c.pendingExtra += entry.Sum.Len
@@ -404,7 +397,6 @@ func (c *fixedCollector) reuseHit(entry *Entry) {
 		}
 		c.finalizePending()
 	}
-	c.pending = trace.NewSummarizer()
 	c.pending.Seed(&entry.Sum)
 	c.pendingBase = entry.Sum.Len
 	c.pendingExtra = 0
@@ -418,15 +410,15 @@ func (c *fixedCollector) finish() {
 func (c *fixedCollector) irbRate() float64 { return 0 }
 
 func (c *fixedCollector) finalizeCur() {
-	if c.cur != nil && !c.cur.Empty() {
+	if !c.cur.Empty() {
 		c.rtm.Insert(c.cur.Summary())
 	}
-	c.cur = nil
+	c.cur.Reset()
 }
 
 func (c *fixedCollector) finalizePending() {
-	if c.pending != nil && c.pending.Len() > c.pendingBase {
+	if c.pending.Len() > c.pendingBase {
 		c.rtm.Insert(c.pending.Summary())
 	}
-	c.pending = nil
+	c.pending.Reset()
 }

@@ -11,46 +11,9 @@ package trace
 // current architectural state, so any of its live-ins produced by this run
 // carry the run's output values.
 func (z *Summarizer) TryMerge(s *Summary, caps Caps) bool {
-	var stagedIns, stagedOuts []Ref
-	for _, r := range s.Ins {
-		if _, written := z.outIdx[r.Loc]; written {
-			continue
-		}
-		if _, seen := z.inIdx[r.Loc]; seen {
-			continue
-		}
-		stagedIns = append(stagedIns, r)
-	}
-	for _, r := range s.Outs {
-		if _, seen := z.outIdx[r.Loc]; !seen {
-			stagedOuts = append(stagedOuts, r)
-		}
-	}
-	addInReg, addInMem := refCounts(stagedIns)
-	addOutReg, addOutMem := refCounts(stagedOuts)
-	if exceeds(z.inReg+addInReg, caps.InReg) || exceeds(z.inMem+addInMem, caps.InMem) ||
-		exceeds(z.outReg+addOutReg, caps.OutReg) || exceeds(z.outMem+addOutMem, caps.OutMem) {
+	if !z.extend(s.Ins, s.Outs, caps, s.StartPC) {
 		return false
 	}
-	if !z.started {
-		z.sum.StartPC = s.StartPC
-		z.started = true
-	}
-	for _, r := range stagedIns {
-		z.inIdx[r.Loc] = len(z.sum.Ins)
-		z.sum.Ins = append(z.sum.Ins, r)
-	}
-	for _, r := range stagedOuts {
-		z.outIdx[r.Loc] = len(z.sum.Outs)
-		z.sum.Outs = append(z.sum.Outs, r)
-	}
-	for _, r := range s.Outs {
-		z.sum.Outs[z.outIdx[r.Loc]].Val = r.Val
-	}
-	z.inReg += addInReg
-	z.inMem += addInMem
-	z.outReg += addOutReg
-	z.outMem += addOutMem
 	z.sum.Len += s.Len
 	z.sum.Next = s.Next
 	return true

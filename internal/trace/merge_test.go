@@ -13,7 +13,7 @@ func summaryOf(startPC uint64, n int, ins, outs []Ref) Summary {
 func TestTryMergeConsecutiveTraces(t *testing.T) {
 	// T1: reads r1, writes r2 and m[10].  T2: reads r2 (internal after
 	// merge!) and r3, writes m[10] (overwrites) and r4.
-	z := NewSummarizer()
+	var z Summarizer
 	t1 := summaryOf(100, 3,
 		[]Ref{{IntReg(1), 11}},
 		[]Ref{{IntReg(2), 22}, {Mem(10), 1}})
@@ -49,7 +49,7 @@ func TestTryMergeConsecutiveTraces(t *testing.T) {
 
 func TestTryMergeRespectsCaps(t *testing.T) {
 	caps := Caps{InReg: 2, InMem: 4, OutReg: 8, OutMem: 4}
-	z := NewSummarizer()
+	var z Summarizer
 	t1 := summaryOf(0, 2, []Ref{{IntReg(1), 1}, {IntReg(2), 2}}, nil)
 	z.Seed(&t1)
 	t2 := summaryOf(2, 2, []Ref{{IntReg(3), 3}}, nil) // third register live-in
@@ -61,7 +61,7 @@ func TestTryMergeRespectsCaps(t *testing.T) {
 		t.Errorf("rejection must not mutate: %+v", s)
 	}
 	// A merge whose live-ins are covered by the current outputs fits.
-	z2 := NewSummarizer()
+	var z2 Summarizer
 	t3 := summaryOf(0, 2, []Ref{{IntReg(1), 1}, {IntReg(2), 2}}, []Ref{{IntReg(3), 3}})
 	z2.Seed(&t3)
 	covered := summaryOf(2, 2, []Ref{{IntReg(3), 3}}, nil)
@@ -71,7 +71,7 @@ func TestTryMergeRespectsCaps(t *testing.T) {
 }
 
 func TestTryMergeIntoEmptySummarizer(t *testing.T) {
-	z := NewSummarizer()
+	var z Summarizer
 	t1 := summaryOf(7, 3, []Ref{{Mem(5), 50}}, []Ref{{IntReg(1), 10}})
 	if !z.TryMerge(&t1, Unlimited) {
 		t.Fatal("merge into empty failed")
@@ -85,7 +85,7 @@ func TestTryMergeIntoEmptySummarizer(t *testing.T) {
 func TestMergeThenAddInstruction(t *testing.T) {
 	// The RTM's expansion path: seed from a stored entry, merge a second
 	// entry, then append executed instructions.
-	z := NewSummarizer()
+	var z Summarizer
 	t1 := summaryOf(0, 2, []Ref{{IntReg(1), 1}}, []Ref{{IntReg(2), 2}})
 	z.Seed(&t1)
 	next := summaryOf(2, 2, []Ref{{IntReg(2), 2}}, []Ref{{IntReg(3), 3}})
@@ -113,7 +113,7 @@ func TestMergeThenAddInstruction(t *testing.T) {
 func TestTryMergeDuplicateLiveIn(t *testing.T) {
 	// Both traces read the same location: one live-in entry, first value
 	// kept (they must agree in a real stream anyway).
-	z := NewSummarizer()
+	var z Summarizer
 	z.Seed(&Summary{StartPC: 0, Next: 2, Len: 2, Ins: []Ref{{IntReg(1), 5}}})
 	dup := summaryOf(2, 2, []Ref{{IntReg(1), 5}}, nil)
 	if !z.TryMerge(&dup, Unlimited) {

@@ -45,12 +45,26 @@ type Caps struct {
 // Unlimited places no bound on trace inputs or outputs (limit study).
 var Unlimited = Caps{InReg: -1, InMem: -1, OutReg: -1, OutMem: -1}
 
+// indexThreshold is the run size, in references on either side, past
+// which a Summarizer indexes its locations in maps instead of scanning
+// Ins and Outs.  RTM entries are capped at 12 references per side
+// (DefaultCaps), so trace collection always scans; only long, unbounded
+// limit-study runs build the index.
+const indexThreshold = 16
+
 // Summarizer incrementally computes the Summary of a run of instructions.
 // It is the building block of both the limit-study trace partitioner and
 // the RTM trace collector; the collector additionally enforces the RTM's
 // input/output capacity limits by passing finite Caps to TryAdd.
+//
+// Locations are found by a linear scan of the run's Ins and Outs until a
+// side grows past indexThreshold, when the Summarizer switches to two
+// location-to-position maps.  Reset keeps the storage (slices and maps),
+// so a reused Summarizer allocates nothing for runs within the scan size.
+// The zero value is an empty Summarizer.
 type Summarizer struct {
 	sum     Summary
+	indexed bool        // inIdx/outIdx are current; otherwise scan
 	inIdx   map[Loc]int // location -> index in sum.Ins
 	outIdx  map[Loc]int // location -> index in sum.Outs
 	started bool
@@ -58,19 +72,10 @@ type Summarizer struct {
 	inReg, inMem, outReg, outMem int
 }
 
-// NewSummarizer returns an empty Summarizer.
-func NewSummarizer() *Summarizer {
-	return &Summarizer{
-		inIdx:  make(map[Loc]int, 16),
-		outIdx: make(map[Loc]int, 16),
-	}
-}
-
-// Reset clears the Summarizer for a new run.
+// Reset clears the Summarizer for a new run, keeping its storage.
 func (z *Summarizer) Reset() {
-	z.sum = Summary{}
-	clear(z.inIdx)
-	clear(z.outIdx)
+	z.sum = Summary{Ins: z.sum.Ins[:0], Outs: z.sum.Outs[:0]}
+	z.indexed = false
 	z.started = false
 	z.inReg, z.inMem, z.outReg, z.outMem = 0, 0, 0, 0
 }
@@ -84,15 +89,12 @@ func (z *Summarizer) Seed(s *Summary) {
 	z.sum.Len = s.Len
 	z.sum.Ins = append(z.sum.Ins, s.Ins...)
 	z.sum.Outs = append(z.sum.Outs, s.Outs...)
-	for i, r := range z.sum.Ins {
-		z.inIdx[r.Loc] = i
-	}
-	for i, r := range z.sum.Outs {
-		z.outIdx[r.Loc] = i
-	}
 	z.inReg, z.inMem = refCounts(z.sum.Ins)
 	z.outReg, z.outMem = refCounts(z.sum.Outs)
 	z.started = true
+	if max(len(z.sum.Ins), len(z.sum.Outs)) > indexThreshold {
+		z.buildIndex()
+	}
 }
 
 // Len returns the number of instructions summarised so far.
@@ -121,77 +123,115 @@ func (z *Summarizer) TryAdd(e *Exec, caps Caps) bool {
 	if e.SideEffect {
 		return false // side effects can never be replayed from a table
 	}
-
-	// Stage new live-ins and outputs (deduplicated within e) so the
-	// rejection path leaves state untouched.
-	var stagedIns, stagedOuts [3]Ref
-	nIns, nOuts := 0, 0
-	for _, r := range e.Inputs() {
-		if _, written := z.outIdx[r.Loc]; written {
-			continue // produced inside the run: not a live-in
-		}
-		if _, seen := z.inIdx[r.Loc]; seen {
-			continue // already a live-in; first read fixed its value
-		}
-		dup := false
-		for _, s := range stagedIns[:nIns] {
-			if s.Loc == r.Loc {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			stagedIns[nIns] = r
-			nIns++
-		}
-	}
-	for _, r := range e.Outputs() {
-		if _, seen := z.outIdx[r.Loc]; seen {
-			continue
-		}
-		dup := false
-		for _, s := range stagedOuts[:nOuts] {
-			if s.Loc == r.Loc {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			stagedOuts[nOuts] = r
-			nOuts++
-		}
-	}
-
-	addInReg, addInMem := refCounts(stagedIns[:nIns])
-	addOutReg, addOutMem := refCounts(stagedOuts[:nOuts])
-	if exceeds(z.inReg+addInReg, caps.InReg) || exceeds(z.inMem+addInMem, caps.InMem) ||
-		exceeds(z.outReg+addOutReg, caps.OutReg) || exceeds(z.outMem+addOutMem, caps.OutMem) {
+	if !z.extend(e.Inputs(), e.Outputs(), caps, e.PC) {
 		return false
 	}
+	z.sum.Len++
+	z.sum.Next = e.Next
+	return true
+}
 
+// extend appends to the run a segment (one instruction or a whole trace)
+// that reads ins and writes outs, starting at startPC: the reads not
+// produced inside the run become new live-ins, the writes to new
+// locations new outputs, and every write leaves its value as the
+// location's output.  New references are staged at the tail of Ins and
+// Outs, so a cap violation only truncates them away and leaves the
+// Summarizer unchanged.
+func (z *Summarizer) extend(ins, outs []Ref, caps Caps, startPC uint64) bool {
+	i0, o0 := len(z.sum.Ins), len(z.sum.Outs)
+	for _, r := range ins {
+		if z.outPos(r.Loc) < 0 && z.inPos(r.Loc) < 0 && locIndex(z.sum.Ins[i0:], r.Loc) < 0 {
+			z.sum.Ins = append(z.sum.Ins, r)
+		}
+	}
+	for _, r := range outs {
+		if z.outPos(r.Loc) < 0 && locIndex(z.sum.Outs[o0:], r.Loc) < 0 {
+			z.sum.Outs = append(z.sum.Outs, r)
+		}
+	}
+	addInReg, addInMem := refCounts(z.sum.Ins[i0:])
+	addOutReg, addOutMem := refCounts(z.sum.Outs[o0:])
+	if exceeds(z.inReg+addInReg, caps.InReg) || exceeds(z.inMem+addInMem, caps.InMem) ||
+		exceeds(z.outReg+addOutReg, caps.OutReg) || exceeds(z.outMem+addOutMem, caps.OutMem) {
+		z.sum.Ins, z.sum.Outs = z.sum.Ins[:i0], z.sum.Outs[:o0]
+		return false
+	}
 	if !z.started {
-		z.sum.StartPC = e.PC
+		z.sum.StartPC = startPC
 		z.started = true
-	}
-	for _, r := range stagedIns[:nIns] {
-		z.inIdx[r.Loc] = len(z.sum.Ins)
-		z.sum.Ins = append(z.sum.Ins, r)
-	}
-	for _, r := range stagedOuts[:nOuts] {
-		z.outIdx[r.Loc] = len(z.sum.Outs)
-		z.sum.Outs = append(z.sum.Outs, r)
-	}
-	// Writes to already-known output locations take the newest value.
-	for _, r := range e.Outputs() {
-		z.sum.Outs[z.outIdx[r.Loc]].Val = r.Val
 	}
 	z.inReg += addInReg
 	z.inMem += addInMem
 	z.outReg += addOutReg
 	z.outMem += addOutMem
-	z.sum.Len++
-	z.sum.Next = e.Next
+	switch {
+	case z.indexed:
+		for i := i0; i < len(z.sum.Ins); i++ {
+			z.inIdx[z.sum.Ins[i].Loc] = i
+		}
+		for i := o0; i < len(z.sum.Outs); i++ {
+			z.outIdx[z.sum.Outs[i].Loc] = i
+		}
+	case max(len(z.sum.Ins), len(z.sum.Outs)) > indexThreshold:
+		z.buildIndex()
+	}
+	// Writes to already-known output locations take the newest value.
+	for _, r := range outs {
+		z.sum.Outs[z.outPos(r.Loc)].Val = r.Val
+	}
 	return true
+}
+
+// inPos returns the index of l in Ins, or -1.
+func (z *Summarizer) inPos(l Loc) int {
+	if !z.indexed {
+		return locIndex(z.sum.Ins, l)
+	}
+	if i, ok := z.inIdx[l]; ok {
+		return i
+	}
+	return -1
+}
+
+// outPos returns the index of l in Outs, or -1.
+func (z *Summarizer) outPos(l Loc) int {
+	if !z.indexed {
+		return locIndex(z.sum.Outs, l)
+	}
+	if i, ok := z.outIdx[l]; ok {
+		return i
+	}
+	return -1
+}
+
+// buildIndex switches the Summarizer from scanning to its maps, reusing
+// the maps of an earlier long run.
+func (z *Summarizer) buildIndex() {
+	if z.inIdx == nil {
+		z.inIdx = make(map[Loc]int, 4*indexThreshold)
+		z.outIdx = make(map[Loc]int, 4*indexThreshold)
+	} else {
+		clear(z.inIdx)
+		clear(z.outIdx)
+	}
+	for i, r := range z.sum.Ins {
+		z.inIdx[r.Loc] = i
+	}
+	for i, r := range z.sum.Outs {
+		z.outIdx[r.Loc] = i
+	}
+	z.indexed = true
+}
+
+// locIndex returns the index of the first reference to l in refs, or -1.
+func locIndex(refs []Ref, l Loc) int {
+	for i := range refs {
+		if refs[i].Loc == l {
+			return i
+		}
+	}
+	return -1
 }
 
 func exceeds(n, limit int) bool { return limit >= 0 && n > limit }
@@ -204,11 +244,16 @@ func (z *Summarizer) Summary() Summary {
 	return s
 }
 
+// View returns the accumulated summary without copying: its Ins and Outs
+// alias the Summarizer's storage and stay valid only until the next
+// TryAdd, TryMerge, Seed or Reset.
+func (z *Summarizer) View() Summary { return z.sum }
+
 // SummarizeRun computes the Summary of a complete run in one call.
 func SummarizeRun(run []Exec) Summary {
-	z := NewSummarizer()
+	var z Summarizer
 	for i := range run {
 		z.Add(&run[i])
 	}
-	return z.Summary()
+	return z.View() // z is local: nothing else will reuse its storage
 }

@@ -187,7 +187,7 @@ func TestSummarizeFirstReadValueWins(t *testing.T) {
 }
 
 func TestSummarizerRejectsSideEffect(t *testing.T) {
-	z := NewSummarizer()
+	var z Summarizer
 	var e Exec
 	e.Op = isa.OUT
 	e.SideEffect = true
@@ -202,7 +202,7 @@ func TestSummarizerRejectsSideEffect(t *testing.T) {
 
 func TestSummarizerCaps(t *testing.T) {
 	caps := Caps{InReg: 2, InMem: 1, OutReg: 2, OutMem: 1}
-	z := NewSummarizer()
+	var z Summarizer
 	e1 := mkExec(0, []Ref{{IntReg(1), 1}, {IntReg(2), 2}}, []Ref{{IntReg(3), 3}})
 	if !z.TryAdd(&e1, caps) {
 		t.Fatal("e1 should fit")
@@ -229,7 +229,7 @@ func TestSummarizerCaps(t *testing.T) {
 
 func TestSummarizerMemCaps(t *testing.T) {
 	caps := Caps{InReg: 8, InMem: 1, OutReg: 8, OutMem: 4}
-	z := NewSummarizer()
+	var z Summarizer
 	e1 := mkExec(0, []Ref{{Mem(1), 10}}, []Ref{{IntReg(1), 10}})
 	e2 := mkExec(1, []Ref{{Mem(2), 20}}, []Ref{{IntReg(2), 20}})
 	if !z.TryAdd(&e1, caps) {
@@ -246,7 +246,7 @@ func TestSummarizerSeed(t *testing.T) {
 		Ins:  []Ref{{IntReg(1), 1}},
 		Outs: []Ref{{IntReg(2), 5}},
 	}
-	z := NewSummarizer()
+	var z Summarizer
 	z.Seed(&base)
 	// Reading r2 (an output of the seed) must not create a live-in;
 	// reading r3 must.
@@ -269,7 +269,7 @@ func TestSummarizerSeed(t *testing.T) {
 func TestSummarizerDuplicateInputInOneExec(t *testing.T) {
 	// add r3, r1, r1 reads r1 twice: only one live-in entry.
 	e := mkExec(0, []Ref{{IntReg(1), 4}, {IntReg(1), 4}}, []Ref{{IntReg(3), 8}})
-	z := NewSummarizer()
+	var z Summarizer
 	if !z.TryAdd(&e, Caps{InReg: 1, InMem: 0, OutReg: 1, OutMem: 0}) {
 		t.Fatal("duplicate reads of one location must count once")
 	}
@@ -279,7 +279,7 @@ func TestSummarizerDuplicateInputInOneExec(t *testing.T) {
 }
 
 func TestSummarizerReset(t *testing.T) {
-	z := NewSummarizer()
+	var z Summarizer
 	e := mkExec(0, []Ref{{IntReg(1), 1}}, []Ref{{IntReg(2), 2}})
 	z.Add(&e)
 	z.Reset()
