@@ -23,6 +23,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
@@ -137,6 +138,16 @@ type sweepBench struct {
 	ReplaySecs    float64 `json:"replaySeconds"`
 	ReplaySpeedup float64 `json:"replaySpeedup"`
 
+	// The deep grid again, over the recording saved to a file and
+	// replayed through tlr.TraceFile (the disk-tier read path): the
+	// version-5 segments let the file stream seek past the skip.  The
+	// source's one-time digest scan (fileScanSeconds) is the file's
+	// analogue of recordSeconds and stays outside the timed grid.  CI
+	// gates fileReplaySpeedup at >= 2x, like replaySpeedup.
+	FileScanSecs      float64 `json:"fileScanSeconds"`
+	FileReplaySecs    float64 `json:"fileReplaySeconds"`
+	FileReplaySpeedup float64 `json:"fileReplaySpeedup"`
+
 	// The shallow-skip grid: the same cells with a 2000-instruction
 	// warm-up.  There is nothing for replay's O(1) seek to amortise, so
 	// the ratio isolates decode-vs-execute (plus the analysis cost both
@@ -147,7 +158,7 @@ type sweepBench struct {
 	ReplayShallowSpeedup float64 `json:"replayShallowSpeedup"`
 
 	// Format-level statistics over internal/replaybench's workload mix
-	// (see EncodingStats).  encodeBytesPerRecord is the v4 container at
+	// (see EncodingStats).  encodeBytesPerRecord is the v5 container at
 	// rest; CI gates it at <= 0.5x of the v2 container, gates
 	// decodeSpeedup (v4 plane-split decode vs the canonical per-record
 	// decode it replaced) at >= 2.0x, and gates decodeNsPerRecord at
@@ -162,7 +173,7 @@ type sweepBench struct {
 	DecodeSpeedup              float64 `json:"decodeSpeedup"`
 
 	// Streamed (on-disk) replay memory: heap bytes allocated by one
-	// full incremental replay of a version-4 file at two stream lengths
+	// full incremental replay of a version-5 file at two stream lengths
 	// (see replaybench.MeasureStreamMemory).  The constant-memory gate:
 	// allocation per replayed record must stay a tiny constant —
 	// marginal cost well under a byte per record (compress/flate's
@@ -302,9 +313,11 @@ func runSweepBench(cfg expt.Config, path string) error {
 	fmt.Printf("record/replay grid: %d cells, budget %d\n", b.ReplayCells, b.ReplayBudget)
 	fmt.Printf("  deep skip %d:    execute %.2fs, record-once %.2fs, replay %.2fs (%.1fx)\n",
 		b.ReplaySkip, b.ExecuteSecs, b.RecordSecs, b.ReplaySecs, b.ReplaySpeedup)
+	fmt.Printf("  deep skip %d, from a trace file: digest scan %.2fs, replay %.2fs (%.1fx)\n",
+		b.ReplaySkip, b.FileScanSecs, b.FileReplaySecs, b.FileReplaySpeedup)
 	fmt.Printf("  shallow skip %d: execute %.2fs, replay %.2fs (%.2fx)\n",
 		b.ReplayShallowSkip, b.ExecuteShallowSecs, b.ReplayShallowSecs, b.ReplayShallowSpeedup)
-	fmt.Printf("trace encoding (workload mix): canonical %.1f B/rec (v2 file %.1f), v4 %.1f B/rec in memory, %.1f on disk\n",
+	fmt.Printf("trace encoding (workload mix): canonical %.1f B/rec (v2 file %.1f), v4 %.1f B/rec in memory, v5 %.1f on disk\n",
 		b.CanonicalBytesPerRecord, b.V2FileBytesPerRecord, b.EncodedMemBytesPerRecord, b.EncodeBytesPerRecord)
 	fmt.Printf("  decode %.1f ns/rec (canonical decode %.1f, %.2fx; simulator step %.1f)\n",
 		b.DecodeNsPerRecord, b.CanonicalDecodeNsPerRecord, b.DecodeSpeedup, b.StepNsPerRecord)
@@ -341,10 +354,11 @@ func runAnalyzeBench(ctx context.Context, b *sweepBench) error {
 
 // runReplayBench times the deep- and shallow-skip grids
 // (internal/replaybench, the same grids BenchmarkReplayVsExecute runs)
-// executed live versus replayed from one recording, verifies the runs
-// agree cell for cell at both depths (replay equivalence, enforced on
-// every CI run), measures the format-level encoding statistics, and
-// fills the replay fields of the summary.
+// executed live versus replayed from one recording — in memory at both
+// depths, and from a saved trace file at the deep one — verifies the
+// runs agree cell for cell (replay equivalence, enforced on every CI
+// run), measures the format-level encoding statistics, and fills the
+// replay fields of the summary.
 func runReplayBench(ctx context.Context, b *sweepBench) error {
 	t0 := time.Now()
 	rec, err := tlr.Record(ctx, replaybench.RecordSpec())
@@ -383,6 +397,34 @@ func runReplayBench(ctx context.Context, b *sweepBench) error {
 		return err
 	}
 
+	fileDir, err := os.MkdirTemp("", "tlr-filereplay-*")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(fileDir)
+	path := filepath.Join(fileDir, "recording.trc")
+	if err := rec.Save(path); err != nil {
+		return err
+	}
+	fileSrc := tlr.TraceFile(path)
+	// A one-record request makes the source scan and digest the file.
+	t1 := time.Now()
+	scanRes, _, err := runGrid([]tlr.Request{{Trace: fileSrc, Analyze: &tlr.AnalyzeConfig{}, Budget: 1}})
+	if err == nil {
+		err = scanRes[0].Err
+	}
+	if err != nil {
+		return err
+	}
+	fileScan := time.Since(t1)
+	fileRes, fileReplay, err := runGrid(replaybench.Grid(fileSrc))
+	if err != nil {
+		return err
+	}
+	if err := verify(execRes, fileRes, "file-backed deep"); err != nil {
+		return err
+	}
+
 	execShallowRes, execShallow, err := runGrid(replaybench.ShallowGrid(nil))
 	if err != nil {
 		return err
@@ -417,6 +459,9 @@ func runReplayBench(ctx context.Context, b *sweepBench) error {
 	b.ExecuteSecs = exec.Seconds()
 	b.ReplaySecs = replay.Seconds()
 	b.ReplaySpeedup = exec.Seconds() / replay.Seconds()
+	b.FileScanSecs = fileScan.Seconds()
+	b.FileReplaySecs = fileReplay.Seconds()
+	b.FileReplaySpeedup = exec.Seconds() / fileReplay.Seconds()
 	b.ReplayShallowSkip = replaybench.ShallowSkip
 	b.ExecuteShallowSecs = execShallow.Seconds()
 	b.ReplayShallowSecs = replayShallow.Seconds()

@@ -57,7 +57,7 @@
 // Pipeline requests are execution-driven and reject trace inputs.
 // GET /v1/traces lists the stored digests with their per-tier sizes
 // and the tier occupancy/spill/promote counters; GET
-// /v1/traces/{digest} downloads a stored trace as a version-4 file
+// /v1/traces/{digest} downloads a stored trace as a version-5 file
 // (straight from the disk tier's file when it lives there; see
 // cmd/tlrtrace pull), so a recording made and uploaded on one host can
 // be fetched and inspected on another.
@@ -462,7 +462,7 @@ func (s *server) handleTraceList(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// handleTraceDownload streams a stored trace back as a version-4 trace
+// handleTraceDownload streams a stored trace back as a version-5 trace
 // file — straight from the disk tier's file when the trace lives
 // there, without decoding it: the other half of the upload/reference
 // workflow, so a recording pushed from one host can be pulled,

@@ -346,8 +346,8 @@ func TestTraceDownloadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fr.Version() != tracefile.Version4 {
-		t.Errorf("download carries container v%d, want v%d", fr.Version(), tracefile.Version4)
+	if fr.Version() != tracefile.Version5 {
+		t.Errorf("download carries container v%d, want v%d", fr.Version(), tracefile.Version5)
 	}
 	got, err := tlr.ReadTrace(bytes.NewReader(data))
 	if err != nil {

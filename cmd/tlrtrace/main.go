@@ -131,7 +131,7 @@ run 'tlrtrace <command> -h' for a command's flags.
 	os.Exit(2)
 }
 
-// concat stitches several recordings into one version-4 trace file:
+// concat stitches several recordings into one version-5 trace file:
 // each input streams through tlr.Concat (no input is materialised —
 // only the growing recording of the combined stream is in memory) and
 // the result is saved and digest-printed like `tlrtrace digest`.

@@ -105,7 +105,7 @@ type Config struct {
 	HintDir string
 
 	// ReadTrace streams the locally stored trace for digest to w in
-	// download (v4) format, reporting whether the digest was held.
+	// download (v5) format, reporting whether the digest was held.
 	// It is the replication worker's data source.
 	ReadTrace func(digest string, w io.Writer) (bool, error)
 	// Logf receives diagnostic messages.  Defaults to discarding.

@@ -3,7 +3,7 @@
 // places every sha256 content digest on a replication-factor-sized
 // owner subset of the peers; the Fabric wraps the ring with the HTTP
 // mechanics a node needs to take part: fetching a missing trace from
-// its owners (streamed, in the existing version-4 download format),
+// its owners (streamed, in the version-5 download format),
 // replicating a freshly uploaded trace to the other owners with
 // bounded retry and backoff, routing a digest-referenced run to a node
 // that already holds the trace, and tracking per-peer health so dead

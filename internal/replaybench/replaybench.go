@@ -9,7 +9,10 @@
 //     measuring a 100k-instruction window.  Execution pays the full
 //     skip+budget simulation per cell; replay seeks the recording past
 //     the skip in O(1) and decodes only the measured window — that is
-//     where record-once/analyse-many wins big (CI gates >= 2x).
+//     where record-once/analyse-many wins big (CI gates >= 2x, both for
+//     the in-memory recording and for the same recording saved to a
+//     file and replayed through tlr.TraceFile, whose version-5 segments
+//     let the file stream seek as well).
 //
 //   - The shallow grid measures the same window at a 2000-instruction
 //     skip, where there is no warm-up to amortise and the grid ratio is
@@ -63,13 +66,13 @@ func RecordSpec() tlr.RecordSpec {
 
 // Grid returns the deep-skip benchmark requests: trace-backed when src
 // is non-nil, program-backed otherwise.
-func Grid(src tlr.TraceSource) []tlr.Request { return GridAt(src, Skip) }
+func Grid(src tlr.TraceSource) []tlr.Request { return GridAt(src, Skip, Budget) }
 
 // ShallowGrid returns the same requests at the shallow skip.
-func ShallowGrid(src tlr.TraceSource) []tlr.Request { return GridAt(src, ShallowSkip) }
+func ShallowGrid(src tlr.TraceSource) []tlr.Request { return GridAt(src, ShallowSkip, Budget) }
 
-// GridAt builds the benchmark requests at an arbitrary skip.
-func GridAt(src tlr.TraceSource, skip uint64) []tlr.Request {
+// GridAt builds the benchmark requests at an arbitrary skip and budget.
+func GridAt(src tlr.TraceSource, skip, budget uint64) []tlr.Request {
 	var reqs []tlr.Request
 	add := func(r tlr.Request) {
 		if src != nil {
@@ -80,15 +83,15 @@ func GridAt(src tlr.TraceSource, skip uint64) []tlr.Request {
 		reqs = append(reqs, r)
 	}
 	for _, w := range []int{64, 256, 1024} {
-		add(tlr.Request{Study: &tlr.StudyConfig{Budget: Budget, Skip: skip, Window: w}})
+		add(tlr.Request{Study: &tlr.StudyConfig{Budget: budget, Skip: skip, Window: w}})
 	}
 	for _, g := range []tlr.Geometry{tlr.Geometry512, tlr.Geometry4K, tlr.Geometry32K, tlr.Geometry256K} {
-		add(tlr.Request{RTM: &tlr.RTMConfig{Geometry: g, Heuristic: tlr.ILREXP}, Skip: skip, Budget: Budget})
+		add(tlr.Request{RTM: &tlr.RTMConfig{Geometry: g, Heuristic: tlr.ILREXP}, Skip: skip, Budget: budget})
 	}
 	for _, h := range []tlr.Heuristic{tlr.ILRNE, tlr.IEXP} {
-		add(tlr.Request{RTM: &tlr.RTMConfig{Geometry: tlr.Geometry4K, Heuristic: h, N: 4}, Skip: skip, Budget: Budget})
+		add(tlr.Request{RTM: &tlr.RTMConfig{Geometry: tlr.Geometry4K, Heuristic: h, N: 4}, Skip: skip, Budget: budget})
 	}
-	add(tlr.Request{VP: &tlr.VPConfig{Window: 256}, Skip: skip, Budget: Budget})
+	add(tlr.Request{VP: &tlr.VPConfig{Window: 256}, Skip: skip, Budget: budget})
 	return reqs
 }
 
@@ -110,7 +113,7 @@ type EncodingStats struct {
 	CanonicalBytesPerRecord float64 // canonical record encoding (v1 body, v2 payload)
 	V2FileBytesPerRecord    float64 // v2 container as written
 	EncodedBytesPerRecord   float64 // in-memory v4 plane-split encoding
-	FileBytesPerRecord      float64 // v4 container as written (flate-framed)
+	FileBytesPerRecord      float64 // v5 container as written (per-block DEFLATE segments)
 
 	// Mean nanoseconds per record (best of three passes per workload).
 	StepNsPerRecord            float64 // live functional-simulator step
@@ -160,11 +163,11 @@ func MeasureEncoding(n uint64) (EncodingStats, error) {
 			return st, err
 		}
 		tr := rec.Trace()
-		var v2w, v4w countWriter
+		var v2w, v5w countWriter
 		if _, err := tr.WriteToVersion(&v2w, tracefile.Version2); err != nil {
 			return st, err
 		}
-		if _, err := tr.WriteToVersion(&v4w, tracefile.Version4); err != nil {
+		if _, err := tr.WriteTo(&v5w); err != nil {
 			return st, err
 		}
 		canon, err := canonicalBytes(tr)
@@ -185,7 +188,7 @@ func MeasureEncoding(n uint64) (EncodingStats, error) {
 		totCanon += uint64(tr.CanonicalBytes())
 		totV2 += uint64(v2w.n)
 		totEnc += uint64(tr.Bytes())
-		totFile += uint64(v4w.n)
+		totFile += uint64(v5w.n)
 		stepNs += step
 		canonNs += cDec
 		decNs += vDec
@@ -254,7 +257,7 @@ type StreamMemory struct {
 }
 
 // MeasureStreamMemory records two streams of one workload — n records
-// and 4n records — saves them as version-4 files under dir, and
+// and 4n records — saves them as version-5 files under dir, and
 // measures the heap bytes allocated by a full streamed replay of each.
 func MeasureStreamMemory(dir string, n uint64) (StreamMemory, error) {
 	st := StreamMemory{}

@@ -65,7 +65,7 @@ type Options struct {
 	// tier by total encoded bytes (<= 0: 64 MiB).
 	TraceCacheBytes int64
 	// TraceDir, when non-empty, enables the trace store's disk tier: a
-	// directory of digest-named version-4 files behind the in-memory
+	// directory of digest-named version-5 files behind the in-memory
 	// LRU.  Stored traces are written through to it, memory evictions
 	// become free drops, and digest lookups fall through memory → disk
 	// (promoting small files back into memory, streaming large ones in
@@ -791,8 +791,9 @@ func (s *Service) TraceByDigest(digest string) (*tracefile.Trace, bool) {
 }
 
 // WriteTraceTo streams the stored trace for a digest to w as a
-// version-4 container, serving the memory tier's encoding or copying
-// the disk tier's file without decoding it.  It reports the bytes
+// version-5 container, serving the memory tier's encoding or copying
+// the disk tier's file without decoding it (a file installed by an
+// older build keeps the version it was written in).  It reports the bytes
 // written and whether the digest was found; an error with zero bytes
 // written means nothing reached w, so a server can still answer with
 // an error status.

@@ -12,7 +12,7 @@ import (
 // memory tier holds decoded *tracefile.Trace values, LRU-bounded by
 // total encoded bytes (traces vary from kilobytes to gigabytes, so
 // counting entries would bound nothing).  The optional disk tier (a
-// directory of digest-named version-4 files) sits behind it: traces are
+// directory of digest-named version-5 files) sits behind it: traces are
 // written through to disk when they enter the store, memory evictions
 // become free drops instead of data loss, and lookups fall through
 // memory → disk — serving small disk hits by promoting them back into

@@ -2,7 +2,9 @@ package tracefile
 
 import (
 	"context"
+	"fmt"
 	"io"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -163,6 +165,54 @@ func BenchmarkFileStreamReplay(b *testing.B) {
 				b.Fatal("empty stream")
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(total), "ns/record")
+		})
+	}
+}
+
+// BenchmarkFileStreamSkip measures a disk-tier read after a deep skip:
+// open a file by path, skip 3/4 of it, read a 10k-record window.  A
+// version-5 file seeks to the target block's segment; a version-4 file
+// must inflate and decode everything it skips.
+func BenchmarkFileStreamSkip(b *testing.B) {
+	const n, window = 400_000, 10_000
+	tr := benchTrace(b, n)
+	for _, version := range []uint32{Version4, Version5} {
+		b.Run(fmt.Sprintf("v%d", version), func(b *testing.B) {
+			path := filepath.Join(b.TempDir(), "bench.trc")
+			f, err := os.Create(path)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := tr.WriteToVersion(f, version); err != nil {
+				b.Fatal(err)
+			}
+			f.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			var sink uint64
+			for i := 0; i < b.N; i++ {
+				s, err := OpenFileStream(path)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := s.Skip(n * 3 / 4); err != nil {
+					b.Fatal(err)
+				}
+				for got := 0; got < window; {
+					batch, err := s.NextBatch()
+					if err != nil {
+						b.Fatal(err)
+					}
+					for j := range batch {
+						sink += batch[j].PC
+					}
+					got += len(batch)
+				}
+				s.Close()
+			}
+			if sink == 0 {
+				b.Fatal("empty stream")
+			}
 		})
 	}
 }

@@ -2,7 +2,9 @@ package tracefile
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
+	"reflect"
 	"testing"
 
 	"github.com/tracereuse/tlr/internal/cpu"
@@ -17,8 +19,8 @@ import (
 // invariants, and Load must round-trip to an identical, identically
 // digested trace.
 func FuzzTraceReader(f *testing.F) {
-	// Seeds: a real recorded stream in all four container versions,
-	// plus truncations and header corruptions of each.
+	// Seeds: a real recorded stream in the first four container
+	// versions, plus truncations and header corruptions of each.
 	w, _ := workload.ByName("compress")
 	prog, err := w.Program()
 	if err != nil {
@@ -55,6 +57,29 @@ func FuzzTraceReader(f *testing.F) {
 	}
 	f.Add([]byte("TLRTRACE"))
 	f.Add([]byte{})
+
+	// Version-5 seeds: the stream above (one segment) and a two-block
+	// stream, each whole, with a flipped segment-table byte, and with a
+	// flip inside the second segment.
+	multi := recordWorkload(f, "compress", BlockLen+300)
+	for _, tr := range []*Trace{tr, multi} {
+		var buf bytes.Buffer
+		if _, err := tr.WriteTo(&buf); err != nil {
+			f.Fatal(err)
+		}
+		seed := buf.Bytes()
+		table := 12 + 8 + 32 + 8 + 8 + 4
+		for _, l := range tr.dict {
+			table += len(binary.AppendUvarint(nil, rotLoc(l)))
+		}
+		f.Add(seed)
+		mut := append([]byte(nil), seed...)
+		mut[table] ^= 0x04
+		f.Add(mut)
+		mut2 := append([]byte(nil), seed...)
+		mut2[len(mut2)-20] ^= 0x10
+		f.Add(mut2)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := NewReader(bytes.NewReader(data))
@@ -98,6 +123,40 @@ func FuzzTraceReader(f *testing.F) {
 		if again.Digest() != loaded.Digest() || again.Records() != loaded.Records() {
 			t.Fatalf("round trip changed identity: %s/%d vs %s/%d",
 				loaded.Digest(), loaded.Records(), again.Digest(), again.Records())
+		}
+
+		// An accepted version-5 file seeks: a path-opened stream skipped
+		// to any block boundary yields what sequential decode yields.
+		if binary.LittleEndian.Uint32(data[8:12]) != Version5 {
+			return
+		}
+		want := cursorRecords(t, loaded)
+		path := writeTemp(t, data)
+		for at := uint64(0); at <= loaded.Records(); at += BlockLen {
+			s, err := OpenFileStream(path)
+			if err != nil {
+				t.Fatalf("accepted v5 file does not open by path: %v", err)
+			}
+			if got, err := s.Skip(at); err != nil || got != at {
+				t.Fatalf("Skip(%d) = %d, %v", at, got, err)
+			}
+			var got []trace.Exec
+			for {
+				batch, err := s.NextBatch()
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					t.Fatalf("after Skip(%d): %v", at, err)
+				}
+				for i := range batch {
+					got = append(got, normalize(batch[i]))
+				}
+			}
+			s.Close()
+			if tail := want[at:]; len(got) != len(tail) || (len(got) > 0 && !reflect.DeepEqual(got, tail)) {
+				t.Fatalf("seek to record %d yields %d records, sequential decode %d from there", at, len(got), len(tail))
+			}
 		}
 	})
 }

@@ -9,9 +9,9 @@ import (
 // loop alternates CPU work (inflate + plane decode) with blocking
 // file reads; on the disk tier that serialises the two.  readAhead
 // moves the file reads onto one background goroutine that stays a few
-// fixed-size chunks in front of the decoder, so the next v4 block's
-// bytes are already buffered when the current one finishes decoding —
-// replay overlaps I/O with decode instead of ping-ponging.
+// fixed-size chunks in front of the decoder, so the next block's bytes
+// are already buffered when the current one finishes decoding — replay
+// overlaps I/O with decode instead of ping-ponging.
 //
 // The chunks come from a shared pool and the goroutine can hold at
 // most readAheadDepth of them, so per-stream memory stays fixed and
@@ -20,10 +20,12 @@ import (
 // whole file.
 
 const (
-	// readAheadChunk is the unit of prefetch.  256 KiB spans many v4
-	// blocks, big enough to keep a spinning disk streaming and small
-	// enough that three in flight cost under 1 MiB per open stream.
-	readAheadChunk = 256 << 10
+	// readAheadChunk is the unit of prefetch.  32 KiB spans a few
+	// compressed blocks (a version-5 segment is ~10 KiB), so a read
+	// after a seek prefetches about what it decodes instead of
+	// megabytes past its window, and three in flight cost ~100 KiB per
+	// open stream.
+	readAheadChunk = 32 << 10
 	// readAheadDepth is how many chunks the prefetcher may run ahead
 	// of the decoder.
 	readAheadDepth = 3
@@ -51,21 +53,19 @@ type readAhead struct {
 	ch   chan raChunk
 	stop chan struct{}
 	wg   sync.WaitGroup
-	c    io.Closer
 
 	cur  *[]byte // chunk being consumed, nil between chunks
 	data []byte  // unread remainder of cur
 	err  error   // terminal error, delivered after data drains
 }
 
-// newReadAhead starts prefetching src immediately (the container
-// header is the first thing a FileStream reads anyway).  Close stops
-// the goroutine and closes src.
-func newReadAhead(src io.ReadCloser) *readAhead {
+// newReadAhead starts prefetching src immediately (a FileStream starts
+// one only when it begins reading, at the byte it will read first).
+// Close stops the goroutine; src stays open.
+func newReadAhead(src io.Reader) *readAhead {
 	ra := &readAhead{
 		ch:   make(chan raChunk, readAheadDepth),
 		stop: make(chan struct{}),
-		c:    src,
 	}
 	ra.wg.Add(1)
 	go func() {
@@ -113,8 +113,8 @@ func (r *readAhead) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// Close stops the prefetcher, returns every outstanding chunk to the
-// pool and closes the underlying source.
+// Close stops the prefetcher and returns every outstanding chunk to the
+// pool.
 func (r *readAhead) Close() error {
 	close(r.stop)
 	// The goroutine may be blocked on a send; draining until the
@@ -128,5 +128,5 @@ func (r *readAhead) Close() error {
 		r.cur = nil
 	}
 	r.data, r.err = nil, io.ErrClosedPipe
-	return r.c.Close()
+	return nil
 }

@@ -30,10 +30,11 @@ func (nopCloserR) Close() error { return nil }
 
 // TestReadAheadDeliversBytes checks the prefetched stream is
 // byte-identical to the source across sizes that land on and around
-// the chunk boundary, under randomly sized reads.
+// the first and a later chunk boundary, under randomly sized reads.
 func TestReadAheadDeliversBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, size := range []int{0, 1, 100, readAheadChunk - 1, readAheadChunk, readAheadChunk + 1, 3*readAheadChunk + 17} {
+	for _, size := range []int{0, 1, 100, readAheadChunk - 1, readAheadChunk, readAheadChunk + 1, 3*readAheadChunk + 17,
+		8*readAheadChunk - 1, 8 * readAheadChunk, 8*readAheadChunk + 1, 24*readAheadChunk + 17} {
 		t.Run(fmt.Sprintf("size=%d", size), func(t *testing.T) {
 			src := make([]byte, size)
 			rng.Read(src)

@@ -6,20 +6,19 @@ package tracefile
 //   - FileStream is trace.Stream over an io.Reader: it decodes any
 //     container version incrementally into pooled record batches, so
 //     replaying an N-record file costs O(batch) memory instead of the
-//     O(N) a loaded Trace spends.
+//     O(N) a loaded Trace spends.  Over a version-5 file opened by path
+//     it also seeks by block, so deep skips cost what a Cursor's do.
 //   - Scan is the incremental-digesting pass: one read over a container
 //     computes the content digest, record count, canonical size and
 //     location frequencies in O(batch) memory, verifying the embedded
 //     header as it goes — the validation half of a chunked upload.
 //   - SpoolToDir couples the two: it tees an incoming container to a
 //     temp file while Scan validates and digests it, then installs a
-//     digest-named version-4 file (renaming a v4 upload, streaming a
-//     transcode of a v1/v2/v3 one) — the write path of a disk store
-//     tier.
+//     digest-named version-5 file (renaming a v5 upload, streaming a
+//     transcode of a v1-v4 one) — the write path of a disk store tier.
 
 import (
 	"bufio"
-	"compress/flate"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -61,14 +60,22 @@ func (c *canonicalHasher) sum() (s [32]byte) {
 // record batches (trace.Stream).  Unlike Trace.Cursor it never holds
 // more than one batch of decoded records plus the decoder's fixed
 // state, so replay memory is independent of the trace's length; the
-// price is that Skip must decode past the skipped records (a container
-// stream cannot seek) and that the stream is one-shot — open a new one
-// per replay.
+// stream is one-shot — open a new one per replay.  Skip on a version-5
+// file opened by path (OpenFileStream) seeks to the target block's
+// segment and decodes at most BlockLen-1 records, the same contract as
+// Cursor.Skip.  Older versions, and streams over a plain io.Reader
+// (NewFileStream), cannot seek: Skip decodes past the skipped records.
 type FileStream struct {
 	r     *Reader
-	c     io.Closer // closed by Close when the stream owns the source
 	arena *blockArena
 	eof   bool
+
+	// A stream opened by path owns its file and prefetches it lazily,
+	// from wherever the first read or seek lands.
+	f       *os.File
+	size    int64      // the file's size in bytes
+	payload int64      // file offset of the first byte after the header
+	ra      *readAhead // the running prefetcher; nil until reading starts
 }
 
 // NewFileStream validates the container header and returns a streaming
@@ -78,37 +85,95 @@ func NewFileStream(r io.Reader) (*FileStream, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newFileStream(rd), nil
+}
+
+func newFileStream(rd *Reader) *FileStream {
 	arena := arenaPool.Get().(*blockArena)
 	// The pool is shared across traces and tenants: zero the record
 	// slots on adoption so operand slots beyond a record's NIn/NOut can
 	// only hold residue from this stream (see Cursor.load).
 	clear(arena.recs[:])
-	return &FileStream{r: rd, arena: arena}, nil
+	return &FileStream{r: rd, arena: arena}
 }
 
 // OpenFileStream opens a trace file as a FileStream; Close closes the
-// file.  Disk-backed streams read through a background prefetcher
-// (see readAhead) so block decode overlaps file I/O; streams over
-// other readers (NewFileStream) are left untouched, since a caller's
-// reader may not tolerate being read past the container's end.
+// file.  The header is read straight from the file; the payload is read
+// through a background prefetcher (see readAhead), started at the first
+// read or seek, so block decode overlaps file I/O.  Streams over other
+// readers (NewFileStream) are left untouched, since a caller's reader
+// may not tolerate being read past the container's end.  A version-5
+// file whose size disagrees with its segment table is rejected here.
 func OpenFileStream(path string) (*FileStream, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	ra := newReadAhead(f)
-	s, err := NewFileStream(ra)
+	s, err := openFileStream(f)
 	if err != nil {
-		ra.Close()
+		f.Close()
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	s.c = ra
 	return s, nil
+}
+
+func openFileStream(f *os.File) (*FileStream, error) {
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	rd, err := NewReader(f)
+	if err != nil {
+		return nil, err
+	}
+	pos, err := f.Seek(0, io.SeekCurrent)
+	if err != nil {
+		rd.release()
+		return nil, err
+	}
+	// The Reader buffered past the header; seek re-reads from there.
+	payload := pos - int64(rd.r.Buffered())
+	if rd.v5 != nil {
+		if want := payload + rd.v5.offs[len(rd.v5.offs)-1]; want != fi.Size() {
+			rd.release()
+			return nil, fmt.Errorf("tracefile: file holds %d bytes, header and segment table declare %d", fi.Size(), want)
+		}
+	}
+	s := newFileStream(rd)
+	s.f, s.size, s.payload = f, fi.Size(), payload
+	return s, nil
+}
+
+// seek (re)starts the prefetcher at block blk's first byte — its
+// segment in a version-5 file, the payload start (blk 0) otherwise —
+// and points the decoder there.  blk may be the block count: the end
+// of the stream.
+func (s *FileStream) seek(blk int) {
+	off := s.payload
+	if s.r.v5 != nil {
+		off += s.r.v5.offs[blk]
+	}
+	if s.ra != nil {
+		s.ra.Close()
+	}
+	s.ra = newReadAhead(io.NewSectionReader(s.f, off, s.size-off))
+	s.r.r.Reset(s.ra)
+	if s.r.v5 != nil {
+		s.r.seekV5(blk)
+	}
+}
+
+// begin starts a path-opened stream's prefetcher at the first block if
+// nothing has started it yet.
+func (s *FileStream) begin() {
+	if s.f != nil && s.ra == nil {
+		s.seek(0)
+	}
 }
 
 // NextBatch decodes and returns the next run of up to BatchLen records;
 // the slice is valid until the next FileStream call.  It returns io.EOF
-// cleanly at the end of the container.  Version-4 containers decode
+// cleanly at the end of the container.  Version-4/5 containers decode
 // straight into the arena through the plane decoder (readBatch), so the
 // streamed replay path runs the same tight loops as an in-memory
 // Cursor; older versions fall back to the per-record decode.
@@ -119,6 +184,7 @@ func (s *FileStream) NextBatch() ([]trace.Exec, error) {
 	if s.arena == nil {
 		return nil, fmt.Errorf("tracefile: FileStream used after Close")
 	}
+	s.begin()
 	n, err := s.r.readBatch(s.arena.recs[:])
 	switch err {
 	case nil:
@@ -134,14 +200,26 @@ func (s *FileStream) NextBatch() ([]trace.Exec, error) {
 	}
 }
 
-// Skip advances past up to n records.  The container stream cannot
-// seek, so the records are decoded (a batch at a time) and discarded:
-// time stays O(n) but memory stays O(batch).
+// Skip advances past up to n records.  On a version-5 file opened by
+// path, a target beyond the current block is reached by seeking to its
+// block's segment; the records left before the target (at most
+// BlockLen-1) are decoded, a batch at a time, and discarded.  Without a
+// seek every skipped record is decoded that way: time O(n), memory
+// O(batch).
 func (s *FileStream) Skip(n uint64) (uint64, error) {
 	if s.arena == nil {
 		return 0, fmt.Errorf("tracefile: FileStream used after Close")
 	}
 	var done uint64
+	if s.f != nil && s.r.v5 != nil && !s.eof {
+		pos := s.r.n
+		target := pos + min(n, s.r.declaredRecords-pos)
+		if blk := int(target / BlockLen); s.ra == nil || blk > s.r.v4.blk {
+			s.seek(blk)
+			done = s.r.n - pos
+		}
+	}
+	s.begin()
 	for done < n && !s.eof {
 		want := n - done
 		if want > BatchLen {
@@ -160,17 +238,23 @@ func (s *FileStream) Skip(n uint64) (uint64, error) {
 	return done, nil
 }
 
-// Close releases the decode arena and closes the underlying file (when
-// the stream owns one).  The stream and any batch it returned must not
-// be used afterwards.
+// Close releases the decode arena and buffers and closes the underlying
+// file (when the stream owns one).  The stream and any batch it
+// returned must not be used afterwards.
 func (s *FileStream) Close() {
-	if s.arena != nil {
-		arenaPool.Put(s.arena)
-		s.arena = nil
+	if s.arena == nil {
+		return
 	}
-	if s.c != nil {
-		s.c.Close()
-		s.c = nil
+	arenaPool.Put(s.arena)
+	s.arena = nil
+	if s.ra != nil {
+		s.ra.Close()
+		s.ra = nil
+	}
+	s.r.release()
+	if s.f != nil {
+		s.f.Close()
+		s.f = nil
 	}
 }
 
@@ -188,9 +272,9 @@ func OpenFile(path string) (*Trace, error) {
 	return t, nil
 }
 
-// ProbeFile reads an indexed (version-2/3) container's header without
-// decoding any records: the declared digest, record count and (v3)
-// canonical size.  It is how a directory store rehydrates its index
+// ProbeFile reads a version-2-or-later container's header without
+// decoding any records: the declared digest, record count and (v3 and
+// later) canonical size.  It is how a directory store rehydrates its index
 // from digest-named files it wrote earlier — cheap enough to run per
 // file at startup.  The header is declared, not verified; Probe is for
 // files installed by a verifying writer (Save, SpoolToDir), and a
@@ -205,6 +289,7 @@ func ProbeFile(path string) (ScanInfo, error) {
 	if err != nil {
 		return ScanInfo{}, fmt.Errorf("%s: %w", path, err)
 	}
+	defer rd.release()
 	if rd.version < Version2 {
 		return ScanInfo{}, fmt.Errorf("%s: version-%d containers carry no header to probe", path, rd.version)
 	}
@@ -233,8 +318,8 @@ func ScanFile(path string) (ScanInfo, error) {
 // ScanInfo is what one incremental pass over a container learns.
 type ScanInfo struct {
 	// Digest is the content digest of the canonical record encoding,
-	// computed incrementally and (for version-2/3 containers) verified
-	// against the header's declared digest.
+	// computed incrementally and (for version-2 and later containers)
+	// verified against the header's declared digest.
 	Digest string
 	// Records is the number of records in the stream.
 	Records uint64
@@ -257,7 +342,7 @@ const scanFreqCap = 1 << 20
 // Scan reads a complete container from r in one pass, computing the
 // content digest, record count, canonical size and the operand-location
 // dictionary the stream would be given, in O(batch) memory.  Every
-// record is validated, and a version-2/3 header whose declared digest,
+// record is validated, and a version-2+ header whose declared digest,
 // record count or canonical size disagrees with the stream is rejected
 // — the same guarantees Load gives, without materialising the trace.
 func Scan(r io.Reader) (ScanInfo, error) {
@@ -265,6 +350,7 @@ func Scan(r io.Reader) (ScanInfo, error) {
 	if err != nil {
 		return ScanInfo{}, err
 	}
+	defer rd.release()
 	h := newCanonicalHasher()
 	freq := make(map[trace.Loc]uint64)
 	count := func(l trace.Loc) {
@@ -317,7 +403,7 @@ type SpoolInfo struct {
 	Digest         string
 	Records        uint64
 	CanonicalBytes int64
-	// Path is the digest-named version-4 file holding the stream.
+	// Path is the digest-named version-5 file holding the stream.
 	Path string
 	// FileBytes is the installed file's size on disk.
 	FileBytes int64
@@ -360,13 +446,13 @@ func (t *teeCapture) Read(p []byte) (int, error) {
 }
 
 // SpoolToDir streams a complete trace container from r into dir as a
-// digest-named version-4 file, validating and digesting it
+// digest-named version-5 file, validating and digesting it
 // incrementally: at no point is the trace (or the request body carrying
 // it) held in memory, so arbitrarily long uploads cost O(batch).  The
 // incoming bytes are teed to a temporary file in dir while Scan
-// validates them; a version-4 upload is then renamed into place, and a
-// version-1/2/3 upload is transcoded to version 4 by a second O(batch)
-// pass.  Re-uploading a digest the directory already holds is a no-op
+// validates them; a version-5 upload is then renamed into place, and a
+// version-1 to -4 upload is transcoded to version 5 by a second
+// O(batch) pass.  Re-uploading a digest the directory already holds is a no-op
 // that returns the existing file's info.  Store-side failures carry
 // ErrStoreWrite; any other error means the uploaded bytes were invalid.
 func SpoolToDir(r io.Reader, dir string) (SpoolInfo, error) {
@@ -403,8 +489,8 @@ func SpoolToDir(r io.Reader, dir string) (SpoolInfo, error) {
 		info.FileBytes = fi.Size()
 		return info, nil
 	}
-	if scan.Version == Version4 {
-		// The upload is already a valid, fully-verified v4 container:
+	if scan.Version == Version5 {
+		// The upload is already a valid, fully-verified v5 container:
 		// install the teed bytes as-is.
 		if err := tmp.Close(); err != nil {
 			return SpoolInfo{}, storeWriteErr(err)
@@ -418,7 +504,7 @@ func SpoolToDir(r io.Reader, dir string) (SpoolInfo, error) {
 		}
 		// The temp file's bytes were fully validated by the scan, so any
 		// transcode failure is the store's fault, not the upload's.
-		if err := transcodeV4File(info.Path, tmp, scan); err != nil {
+		if err := transcodeV5File(info.Path, tmp, scan); err != nil {
 			return SpoolInfo{}, storeWriteErr(err)
 		}
 	}
@@ -430,19 +516,21 @@ func SpoolToDir(r io.Reader, dir string) (SpoolInfo, error) {
 	return info, nil
 }
 
-// transcodeV4File writes the records of the container in src as a
-// version-4 file at dst, in O(batch) memory.  The v4 header declares
-// the uncompressed payload length before the payload, so the compressed
-// payload is spooled to a sibling temp file first and the header
-// written once the length is known.  The v4 encoder frames its sealed
-// plane-split blocks into its enc buffer; draining that buffer after
-// every record keeps the transcode's memory at one open block plus the
-// flate window, whatever the upload's length.
-func transcodeV4File(dst string, src io.Reader, scan ScanInfo) error {
+// transcodeV5File writes the records of the container in src as a
+// version-5 file at dst, in O(batch) memory.  The segment table
+// precedes the segments, so they are spooled to a sibling temp file
+// first and the header written once every length is known.  The v4
+// encoder frames each sealed block into its enc buffer; compressing
+// that block as the next segment and draining the buffer after every
+// record keeps the transcode's memory at one open block plus the
+// compressor, whatever the upload's length.  The scan's record count
+// says which block is the last, whose segment ends the DEFLATE stream.
+func transcodeV5File(dst string, src io.Reader, scan ScanInfo) error {
 	rd, err := NewReader(src)
 	if err != nil {
 		return err
 	}
+	defer rd.release()
 	spool, err := os.CreateTemp(filepath.Dir(dst), ".payload-*.tmp")
 	if err != nil {
 		return err
@@ -452,22 +540,19 @@ func transcodeV4File(dst string, src io.Reader, scan ScanInfo) error {
 		os.Remove(spool.Name())
 	}()
 	sw := bufio.NewWriterSize(spool, 1<<16)
-	zw, err := flate.NewWriter(sw, flate.DefaultCompression)
-	if err != nil {
-		return err
-	}
+	seg := newV5Segmenter(sw)
+	defer seg.release()
+	nblk := int((scan.Records + BlockLen - 1) / BlockLen)
 	enc := newV4Encoder(scan.dict, 1<<16)
-	var rawLen uint64
 	drain := func() error {
-		rawLen += uint64(len(enc.enc))
-		if _, err := zw.Write(enc.enc); err != nil {
-			return err
+		if len(enc.enc) == 0 {
+			return nil
 		}
+		err := seg.add(enc.enc, len(seg.lens) == nblk-1)
 		// The encoder's block-offset bookkeeping is meaningless across
 		// drains and unused here; reset both so the buffers stay small.
-		enc.enc = enc.enc[:0]
-		enc.blocks = enc.blocks[:0]
-		return nil
+		enc.enc, enc.blocks = enc.enc[:0], enc.blocks[:0]
+		return err
 	}
 	var e trace.Exec
 	for {
@@ -477,19 +562,16 @@ func transcodeV4File(dst string, src io.Reader, scan ScanInfo) error {
 			return err
 		}
 		enc.write(&e)
-		if len(enc.enc) > 0 {
-			// A block just sealed: stream it out before the next opens.
-			if err := drain(); err != nil {
-				return err
-			}
+		if err := drain(); err != nil {
+			return err
 		}
 	}
 	enc.finish()
 	if err := drain(); err != nil {
 		return err
 	}
-	if err := zw.Close(); err != nil {
-		return err
+	if len(seg.lens) != nblk {
+		return fmt.Errorf("tracefile: transcode sealed %d blocks for %d records", len(seg.lens), scan.Records)
 	}
 	if err := sw.Flush(); err != nil {
 		return err
@@ -499,7 +581,16 @@ func transcodeV4File(dst string, src io.Reader, scan ScanInfo) error {
 	}
 	return writeFileRenamed(dst, func(w io.Writer) error {
 		bw := bufio.NewWriterSize(w, 1<<16)
-		if err := writeCompressedHeader(bw, Version4, scan.Records, scan.sum, uint64(scan.CanonicalBytes), rawLen, scan.dict); err != nil {
+		var head [12]byte
+		copy(head[:], Magic[:])
+		binary.LittleEndian.PutUint32(head[8:], Version5)
+		if _, err := bw.Write(head[:]); err != nil {
+			return err
+		}
+		if err := writePrelude(bw, scan.Records, scan.sum, uint64(scan.CanonicalBytes), seg.raw, scan.dict); err != nil {
+			return err
+		}
+		if err := writeV5Table(bw, seg.lens); err != nil {
 			return err
 		}
 		if _, err := io.Copy(bw, spool); err != nil {
@@ -507,48 +598,6 @@ func transcodeV4File(dst string, src io.Reader, scan ScanInfo) error {
 		}
 		return bw.Flush()
 	})
-}
-
-// writeCompressedHeader emits the magic, version and the shared
-// version-3/4 prelude (record count, digest, canonical size, payload
-// length, dictionary).
-func writeCompressedHeader(w io.Writer, version uint32, records uint64, sum [32]byte, canonical, rawLen uint64, dict []trace.Loc) error {
-	if _, err := w.Write(Magic[:]); err != nil {
-		return err
-	}
-	var u4 [4]byte
-	var u8 [8]byte
-	binary.LittleEndian.PutUint32(u4[:], version)
-	if _, err := w.Write(u4[:]); err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint64(u8[:], records)
-	if _, err := w.Write(u8[:]); err != nil {
-		return err
-	}
-	if _, err := w.Write(sum[:]); err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint64(u8[:], canonical)
-	if _, err := w.Write(u8[:]); err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint64(u8[:], rawLen)
-	if _, err := w.Write(u8[:]); err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint32(u4[:], uint32(len(dict)))
-	if _, err := w.Write(u4[:]); err != nil {
-		return err
-	}
-	var vbuf [binary.MaxVarintLen64]byte
-	for _, l := range dict {
-		n := binary.PutUvarint(vbuf[:], rotLoc(l))
-		if _, err := w.Write(vbuf[:n]); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // writeFileRenamed writes a file through a temp-and-rename in the

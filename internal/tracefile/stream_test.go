@@ -3,6 +3,7 @@ package tracefile
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -31,9 +32,9 @@ func drainStream(t *testing.T, s trace.Stream) []trace.Exec {
 }
 
 // TestFileStreamMatchesCursor: the incrementally decoded stream of any
-// container version yields exactly the records the in-memory Cursor
-// yields — the streamed-replay-equivalence contract at the record
-// level.
+// container version, over a reader or opened by path, yields exactly
+// the records the in-memory Cursor yields — the
+// streamed-replay-equivalence contract at the record level.
 func TestFileStreamMatchesCursor(t *testing.T) {
 	tr := recordWorkload(t, "compress", 25_000)
 	var want []trace.Exec
@@ -49,39 +50,54 @@ func TestFileStreamMatchesCursor(t *testing.T) {
 		want = append(want, normalize(e))
 	}
 
-	for _, version := range []uint32{Version, Version2, Version3, Version4} {
+	dir := t.TempDir()
+	for _, version := range []uint32{Version, Version2, Version3, Version4, Version5} {
 		var buf bytes.Buffer
 		if _, err := tr.WriteToVersion(&buf, version); err != nil {
 			t.Fatal(err)
 		}
-		s, err := NewFileStream(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("v%d: %v", version, err)
-		}
-		got := drainStream(t, s)
-		s.Close()
-		if len(got) != len(want) {
-			t.Fatalf("v%d: stream yields %d records, cursor %d", version, len(got), len(want))
-		}
-		for i := range want {
-			if !reflect.DeepEqual(got[i], want[i]) {
-				t.Fatalf("v%d: record %d differs:\nstream %+v\ncursor %+v", version, i, got[i], want[i])
-			}
-		}
-
-		// Skip mid-stream lands on the same records.
-		s2, err := NewFileStream(bytes.NewReader(buf.Bytes()))
-		if err != nil {
+		path := filepath.Join(dir, fmt.Sprintf("v%d.trc", version))
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		const skip = 9_999
-		if n, err := s2.Skip(skip); err != nil || n != skip {
-			t.Fatalf("v%d: Skip = %d, %v", version, n, err)
-		}
-		tail := drainStream(t, s2)
-		s2.Close()
-		if !reflect.DeepEqual(tail, want[skip:]) {
-			t.Fatalf("v%d: post-skip stream diverges", version)
+		// Both openers: over a reader, and by path (prefetched, and
+		// seeking for version 5).
+		for _, open := range []struct {
+			name string
+			fn   func() (*FileStream, error)
+		}{
+			{"reader", func() (*FileStream, error) { return NewFileStream(bytes.NewReader(buf.Bytes())) }},
+			{"path", func() (*FileStream, error) { return OpenFileStream(path) }},
+		} {
+			s, err := open.fn()
+			if err != nil {
+				t.Fatalf("v%d %s: %v", version, open.name, err)
+			}
+			got := drainStream(t, s)
+			s.Close()
+			if len(got) != len(want) {
+				t.Fatalf("v%d %s: stream yields %d records, cursor %d", version, open.name, len(got), len(want))
+			}
+			for i := range want {
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Fatalf("v%d %s: record %d differs:\nstream %+v\ncursor %+v", version, open.name, i, got[i], want[i])
+				}
+			}
+
+			// Skip mid-stream lands on the same records.
+			s2, err := open.fn()
+			if err != nil {
+				t.Fatal(err)
+			}
+			const skip = 9_999
+			if n, err := s2.Skip(skip); err != nil || n != skip {
+				t.Fatalf("v%d %s: Skip = %d, %v", version, open.name, n, err)
+			}
+			tail := drainStream(t, s2)
+			s2.Close()
+			if !reflect.DeepEqual(tail, want[skip:]) {
+				t.Fatalf("v%d %s: post-skip stream diverges", version, open.name)
+			}
 		}
 	}
 }
@@ -91,7 +107,7 @@ func TestFileStreamMatchesCursor(t *testing.T) {
 // version, and rejects a tampered header.
 func TestScanMatchesLoad(t *testing.T) {
 	tr := recordWorkload(t, "ijpeg", 20_000)
-	for _, version := range []uint32{Version, Version2, Version3, Version4} {
+	for _, version := range []uint32{Version, Version2, Version3, Version4, Version5} {
 		var buf bytes.Buffer
 		if _, err := tr.WriteToVersion(&buf, version); err != nil {
 			t.Fatal(err)
@@ -118,13 +134,13 @@ func TestScanMatchesLoad(t *testing.T) {
 	}
 }
 
-// TestSpoolToDir: both install paths — a v4 upload renamed into place
-// and a v1/v2/v3 upload transcoded in O(batch) memory — produce a
-// digest-named v4 file that loads back identically, and re-uploading
+// TestSpoolToDir: both install paths — a v5 upload renamed into place
+// and a v1-v4 upload transcoded in O(batch) memory — produce a
+// digest-named v5 file that loads back identically, and re-uploading
 // is a no-op.
 func TestSpoolToDir(t *testing.T) {
 	tr := recordWorkload(t, "li", 15_000)
-	for _, version := range []uint32{Version, Version2, Version3, Version4} {
+	for _, version := range []uint32{Version, Version2, Version3, Version4, Version5} {
 		dir := t.TempDir()
 		var buf bytes.Buffer
 		if _, err := tr.WriteToVersion(&buf, version); err != nil {
@@ -147,7 +163,7 @@ func TestSpoolToDir(t *testing.T) {
 		if back.Digest() != tr.Digest() || back.Records() != tr.Records() {
 			t.Fatalf("v%d: spooled file loads as %s/%d", version, back.Digest(), back.Records())
 		}
-		// The installed container must itself be version 4.
+		// The installed container must itself be version 5.
 		f, err := os.Open(info.Path)
 		if err != nil {
 			t.Fatal(err)
@@ -156,7 +172,7 @@ func TestSpoolToDir(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rd.Version() != Version4 {
+		if rd.Version() != Version5 {
 			t.Fatalf("v%d input installed as v%d container", version, rd.Version())
 		}
 		f.Close()

@@ -11,13 +11,14 @@ package tracefile
 // The digest is computed over the *canonical* record encoding (the
 // version-1 record stream; never a container header and never the v3 or
 // v4 delta forms), so the same dynamic stream has the same digest
-// whether it was recorded in memory or loaded from a version-1, -2, -3
-// or -4 file.  Load re-encodes canonically for exactly this reason, and
+// whether it was recorded in memory or loaded from any container
+// version.  Load re-encodes canonically for exactly this reason, and
 // the Recorder hashes the canonical bytes it accumulates before
 // transcoding them to the v4 form it keeps.
 
 import (
 	"bufio"
+	"bytes"
 	"compress/flate"
 	"context"
 	"crypto/sha256"
@@ -475,10 +476,11 @@ func (c *countWriter) Write(p []byte) (int, error) {
 }
 
 // WriteTo serialises the trace in the current container version
-// (version 4: header with record count, content digest, canonical
-// size and location dictionary, then the flate-compressed plane-split
-// record bytes).  Use WriteToVersion to write the older containers.
-func (t *Trace) WriteTo(w io.Writer) (int64, error) { return t.WriteToVersion(w, Version4) }
+// (version 5: header with record count, content digest, canonical
+// size, location dictionary and segment table, then each plane-split
+// block as its own DEFLATE segment).  Use WriteToVersion to write the
+// older containers.
+func (t *Trace) WriteTo(w io.Writer) (int64, error) { return t.WriteToVersion(w, Version5) }
 
 // Save writes the trace to a file (see WriteTo) through a temp file in
 // the target's directory renamed into place, so a failure mid-write
@@ -491,12 +493,14 @@ func (t *Trace) Save(path string) error {
 }
 
 // WriteToVersion serialises the trace in any container version the
-// package can read.  All four carry the same records and load back to
+// package can read.  All five carry the same records and load back to
 // the same digest; they differ in framing: version 1 is the bare
 // canonical stream, version 2 prefixes the count/digest/skip-index to
 // the canonical stream, version 3 frames the delta-encoded record bytes
-// with flate, and version 4 (the default) frames the plane-split block
-// bytes the same way — the smallest and by far the fastest to decode.
+// with flate, version 4 frames the plane-split block bytes the same way
+// — the smallest and by far the fastest to decode — and version 5 (the
+// default) compresses each plane-split block separately so readers can
+// seek by block.
 func (t *Trace) WriteToVersion(w io.Writer, version uint32) (int64, error) {
 	cw := &countWriter{w: w}
 	bw := bufio.NewWriterSize(cw, 1<<16)
@@ -518,6 +522,8 @@ func (t *Trace) WriteToVersion(w io.Writer, version uint32) (int64, error) {
 		err = t.writeV3Body(bw)
 	case Version4:
 		err = t.writeV4Body(bw)
+	case Version5:
+		err = t.writeV5Body(bw)
 	default:
 		err = fmt.Errorf("%w: %d", ErrBadVersion, version)
 	}
@@ -594,49 +600,38 @@ func (t *Trace) writeV2Body(bw *bufio.Writer) error {
 	return err
 }
 
-// The version-3 and version-4 bodies share one shape after the 12-byte
-// magic+version prelude:
+// The version-3, -4 and -5 bodies share one prelude after the 12-byte
+// magic+version:
 //
 //	records:u64 digest:32B canonical:u64 rawLen:u64
 //	dictLen:u32 {rotLoc:uvarint}*dictLen
-//	flate(record payload) … EOF
 //
-// They differ only in what the compressed payload holds: version 3
-// carries the v3 record bytes, version 4 the plane-split block bytes.
-// The digest still covers the canonical encoding (container-independent
-// identity); rawLen is the uncompressed payload length, bounding what a
-// reader will inflate.  Blocks need no offset table on disk: they are
-// back-to-back runs of exactly BlockLen records, so a streaming reader
-// finds every boundary by counting, and Load rebuilds the in-memory
-// offsets during validation.
+// Versions 3 and 4 follow it with flate(record payload) to EOF and
+// differ only in what the compressed payload holds: version 3 carries
+// the v3 record bytes, version 4 the plane-split block bytes.  Version
+// 5 follows it with the segment table and the per-block segments (see
+// v5.go).  The digest still covers the canonical encoding
+// (container-independent identity); rawLen is the uncompressed payload
+// length, bounding what a reader will inflate.
+func writePrelude(w io.Writer, records uint64, sum [32]byte, canonical, rawLen uint64, dict []trace.Loc) error {
+	buf := make([]byte, 0, 60+binary.MaxVarintLen64*len(dict))
+	buf = binary.LittleEndian.AppendUint64(buf, records)
+	buf = append(buf, sum[:]...)
+	buf = binary.LittleEndian.AppendUint64(buf, canonical)
+	buf = binary.LittleEndian.AppendUint64(buf, rawLen)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(dict)))
+	for _, l := range dict {
+		buf = binary.AppendUvarint(buf, rotLoc(l))
+	}
+	_, err := w.Write(buf)
+	return err
+}
+
+// writeCompressedBody writes a version-3/4 body: the prelude, then the
+// payload as one DEFLATE stream.
 func (t *Trace) writeCompressedBody(bw *bufio.Writer, payload []byte) error {
-	var u8 [8]byte
-	var u4 [4]byte
-	binary.LittleEndian.PutUint64(u8[:], t.n)
-	if _, err := bw.Write(u8[:]); err != nil {
+	if err := writePrelude(bw, t.n, t.sum, uint64(t.canonical), uint64(len(payload)), t.dict); err != nil {
 		return err
-	}
-	if _, err := bw.Write(t.sum[:]); err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint64(u8[:], uint64(t.canonical))
-	if _, err := bw.Write(u8[:]); err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint64(u8[:], uint64(len(payload)))
-	if _, err := bw.Write(u8[:]); err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint32(u4[:], uint32(len(t.dict)))
-	if _, err := bw.Write(u4[:]); err != nil {
-		return err
-	}
-	var vbuf [binary.MaxVarintLen64]byte
-	for _, l := range t.dict {
-		n := binary.PutUvarint(vbuf[:], rotLoc(l))
-		if _, err := bw.Write(vbuf[:n]); err != nil {
-			return err
-		}
 	}
 	zw, err := flate.NewWriter(bw, flate.DefaultCompression)
 	if err != nil {
@@ -661,6 +656,32 @@ func (t *Trace) writeV3Body(bw *bufio.Writer) error {
 
 func (t *Trace) writeV4Body(bw *bufio.Writer) error {
 	return t.writeCompressedBody(bw, t.enc)
+}
+
+// writeV5Body compresses each plane-split block as its own segment,
+// then writes the prelude, the segment table and the segments.
+func (t *Trace) writeV5Body(bw *bufio.Writer) error {
+	var payload bytes.Buffer
+	payload.Grow(len(t.enc) / 4)
+	seg := newV5Segmenter(&payload)
+	defer seg.release()
+	for i, off := range t.blocks {
+		end := len(t.enc)
+		if i+1 < len(t.blocks) {
+			end = t.blocks[i+1]
+		}
+		if err := seg.add(t.enc[off:end], i == len(t.blocks)-1); err != nil {
+			return err
+		}
+	}
+	if err := writePrelude(bw, t.n, t.sum, uint64(t.canonical), uint64(len(t.enc)), t.dict); err != nil {
+		return err
+	}
+	if err := writeV5Table(bw, seg.lens); err != nil {
+		return err
+	}
+	_, err := bw.Write(payload.Bytes())
+	return err
 }
 
 // v3Encoding transcodes the trace to the version-3 record bytes, for
@@ -689,6 +710,7 @@ func Load(r io.Reader) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer tr.release()
 	rec := NewRecorder()
 	if err := tr.ForEach(func(e *trace.Exec) bool {
 		rec.Write(e)

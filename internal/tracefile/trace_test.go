@@ -207,14 +207,14 @@ func TestCursorRunBudgetAndCancel(t *testing.T) {
 	}
 }
 
-// TestCrossVersionIdentical: one canonical recording written in all
-// three container versions decodes record-identically and
-// digest-identically in all three.
+// TestCrossVersionIdentical: one canonical recording written in every
+// container version decodes record-identically and digest-identically
+// in all of them.
 func TestCrossVersionIdentical(t *testing.T) {
 	tr := recordWorkload(t, "compress", 8_000)
 
 	loads := make(map[uint32]*Trace)
-	for _, version := range []uint32{Version, Version2, Version3, Version4} {
+	for _, version := range []uint32{Version, Version2, Version3, Version4, Version5} {
 		var buf bytes.Buffer
 		if _, err := tr.WriteToVersion(&buf, version); err != nil {
 			t.Fatalf("writing v%d: %v", version, err)
@@ -266,14 +266,14 @@ func TestCrossVersionIdentical(t *testing.T) {
 	// v3's interleaved stream on some integer codes, v4's planes on FP
 	// ones — so no ordering is asserted between the two).
 	sizes := make(map[uint32]int)
-	for _, version := range []uint32{Version, Version2, Version3, Version4} {
+	for _, version := range []uint32{Version, Version2, Version3, Version4, Version5} {
 		var buf bytes.Buffer
 		if _, err := tr.WriteToVersion(&buf, version); err != nil {
 			t.Fatal(err)
 		}
 		sizes[version] = buf.Len()
 	}
-	for _, compressed := range []uint32{Version3, Version4} {
+	for _, compressed := range []uint32{Version3, Version4, Version5} {
 		if sizes[compressed] >= sizes[Version2] || sizes[compressed] >= sizes[Version] {
 			t.Errorf("v%d container (%d bytes) not smaller than v1 (%d) / v2 (%d)",
 				compressed, sizes[compressed], sizes[Version], sizes[Version2])
@@ -444,7 +444,7 @@ func TestEmptyTraceRoundTrip(t *testing.T) {
 	if err := tr.Cursor().Next(&e); err != io.EOF {
 		t.Fatalf("empty cursor: err = %v, want io.EOF", err)
 	}
-	for _, version := range []uint32{Version, Version2, Version3} {
+	for _, version := range []uint32{Version, Version2, Version3, Version4, Version5} {
 		var buf bytes.Buffer
 		if _, err := tr.WriteToVersion(&buf, version); err != nil {
 			t.Fatalf("writing empty v%d: %v", version, err)

@@ -23,18 +23,19 @@
 // faster to decode.  The version-4 encoding (see v4.go) keeps the v3
 // delta and dictionary scheme but splits each block of records into
 // per-field byte planes, so decoding runs in tight branch-light loops
-// at below simulator-step cost; it is what the in-memory Trace holds
-// and what Recorder-produced containers carry.
+// at below simulator-step cost; it is what the in-memory Trace holds.
 //
-// Four container versions carry the records after the 8-byte magic and
+// Five container versions carry the records after the 8-byte magic and
 // 4-byte version: version 1 is a bare canonical stream (records to EOF,
 // writable without knowing the length); version 2 prefixes the record
 // count, a sha256 content digest and a skip index to the canonical
 // stream; versions 3 and 4 prefix count, digest, canonical size and the
 // location dictionary to the flate-compressed record payload (v3 record
-// bytes or v4 plane-split blocks respectively, version 4 being the
-// default).  All four load back to the same digest; docs/FORMAT.md is
-// the normative byte-level spec.
+// bytes or v4 plane-split blocks respectively); version 5 (see v5.go,
+// the default) compresses each v4 block as its own DEFLATE segment
+// behind a table of segment lengths, so files seek by block.  All five
+// load back to the same digest; docs/FORMAT.md is the normative
+// byte-level spec.
 package tracefile
 
 import (
@@ -44,6 +45,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 
 	"github.com/tracereuse/tlr/internal/isa"
 	"github.com/tracereuse/tlr/internal/trace"
@@ -64,10 +66,16 @@ const Version2 uint32 = 2
 // flate-framed v3 record bytes.
 const Version3 uint32 = 3
 
-// Version4 is the plane-split container version Trace.WriteTo emits:
-// the same prelude as version 3 before the flate-framed v4 plane-split
-// block bytes (see v4.go).
+// Version4 is the plane-split container version: the same prelude as
+// version 3 before the flate-framed v4 plane-split block bytes (see
+// v4.go).
 const Version4 uint32 = 4
+
+// Version5 is the seekable plane-split container version Trace.WriteTo
+// and every at-rest path emit: version 4's prelude and blocks, each
+// block compressed as an independent DEFLATE segment behind a table of
+// segment lengths (see v5.go).
+const Version5 uint32 = 5
 
 const (
 	flagNInShift  = 0 // 2 bits
@@ -128,30 +136,71 @@ func (w *Writer) Records() uint64 { return w.n }
 func (w *Writer) Flush() error { return w.w.Flush() }
 
 // Reader streams execution records from an io.Reader.  It accepts all
-// four container versions; Version reports which one it found.
+// five container versions; Version reports which one it found.
 type Reader struct {
 	r   *bufio.Reader // the raw container stream
-	src *bufio.Reader // record source: r for v1/v2, the inflated payload for v3/v4
+	src *bufio.Reader // record source: r for v1/v2, the inflated payload for v3-v5
 	n   uint64
-	off int64 // v1/v2: bytes consumed incl. header; v3/v4: uncompressed payload bytes consumed
+	off int64 // v1/v2: bytes consumed incl. header; v3-v5: uncompressed payload bytes consumed
 
 	version         uint32
 	declaredRecords uint64   // version >= 2: header record count
 	declaredDigest  [32]byte // version >= 2: header content digest
 
-	// version-3/4 decode state
+	// version-3/4/5 decode state
 	declaredCanonical uint64
 	rawLen            uint64
-	raw               *countByteReader // compressed bytes consumed, for the expansion bound
+	raw               *countByteReader // v3/v4: compressed bytes consumed, for the expansion bound
 	dict              []trace.Loc
 	last              [DictCap]uint64
 	prevPC            uint64
 	tailChecked       bool
 
-	v4 *v4Stream // version-4 block decode state
+	v4   *v4Stream   // version-4/5 block decode state
+	v5   *v5Segs     // version-5 segment table and position
+	bufs *readerBufs // pooled buffers behind r, src and v4
 }
 
-// v4Stream is the Reader's version-4 decode state: the current block's
+// readerBufs is the per-open decode state a Reader borrows from
+// readerPool, as a FileStream borrows its decode arena: the container
+// and inflated-payload buffers, the decompressor and the block decode
+// state together cost a few hundred KiB, which a disk tier serving
+// thousands of short replays should not allocate per open.
+type readerBufs struct {
+	raw, src *bufio.Reader
+	z        io.ReadCloser // flate decompressor (flate.Resetter), made on first use
+	v4       v4Stream
+}
+
+var readerPool = sync.Pool{New: func() any {
+	return &readerBufs{raw: bufio.NewReaderSize(nil, 1<<16), src: bufio.NewReaderSize(nil, 1<<15)}
+}}
+
+// release returns the Reader's buffers to the pool.  Readers a caller
+// drops are simply garbage-collected; the package releases the ones it
+// owns (FileStream.Close, Load, Scan, ProbeFile and the spool
+// transcode).  The Reader must not be used afterwards.
+func (r *Reader) release() {
+	b := r.bufs
+	if b == nil {
+		return
+	}
+	r.bufs, r.v4, r.r, r.src = nil, nil, nil, nil
+	b.raw.Reset(nil)
+	b.src.Reset(nil)
+	readerPool.Put(b)
+}
+
+// inflate points the pooled decompressor at src and returns it.
+func (b *readerBufs) inflate(src io.Reader) (io.Reader, error) {
+	if b.z == nil {
+		b.z = flate.NewReader(src)
+		return b.z, nil
+	}
+	return b.z, b.z.(flate.Resetter).Reset(src, nil)
+}
+
+// v4Stream is the Reader's version-4/5 decode state: the current block's
 // planes (read into a reusable buffer) with their decode head, the
 // dictionary and last-value tables in the fixed-size form the plane
 // decoder wants, and a buffered batch backing the per-record Read
@@ -212,41 +261,59 @@ const maxIndexEntries = 1 << 22
 
 // NewReader validates the header and returns a Reader.
 func NewReader(r io.Reader) (*Reader, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
+	b := readerPool.Get().(*readerBufs)
+	b.raw.Reset(r)
+	rd := &Reader{r: b.raw, src: b.raw, off: 12, bufs: b}
+	if err := rd.readHeader(); err != nil {
+		rd.release()
+		return nil, err
+	}
+	return rd, nil
+}
+
+// readHeader consumes the magic, version and the version's prelude.
+func (r *Reader) readHeader() error {
 	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("tracefile: reading magic: %w", err)
+	if _, err := io.ReadFull(r.r, magic[:]); err != nil {
+		return fmt.Errorf("tracefile: reading magic: %w", err)
 	}
 	if magic != Magic {
-		return nil, ErrBadMagic
+		return ErrBadMagic
 	}
 	var v [4]byte
-	if _, err := io.ReadFull(br, v[:]); err != nil {
-		return nil, fmt.Errorf("tracefile: reading version: %w", err)
+	if _, err := io.ReadFull(r.r, v[:]); err != nil {
+		return fmt.Errorf("tracefile: reading version: %w", err)
 	}
-	rd := &Reader{r: br, src: br, off: 12, version: binary.LittleEndian.Uint32(v[:])}
-	switch rd.version {
+	r.version = binary.LittleEndian.Uint32(v[:])
+	switch r.version {
 	case Version:
-		return rd, nil
+		return nil
 	case Version2:
-		if err := rd.readV2Header(); err != nil {
-			return nil, err
-		}
-		return rd, nil
+		return r.readV2Header()
 	case Version3:
-		if err := rd.readCompressedHeader(2); err != nil {
-			return nil, err
+		return r.readCompressedHeader(2)
+	case Version4, Version5:
+		if err := r.readCompressedHeader(4); err != nil {
+			return err
 		}
-		return rd, nil
-	case Version4:
-		if err := rd.readCompressedHeader(4); err != nil {
-			return nil, err
+		if r.version == Version5 {
+			if err := r.readV5Table(); err != nil {
+				return err
+			}
 		}
-		rd.v4 = &v4Stream{blk: -1, dictLen: len(rd.dict)}
-		copy(rd.v4.dict[:], rd.dict)
-		return rd, nil
+		s := &r.bufs.v4
+		s.blk, s.blkRecs, s.blkDone, s.bn, s.bpos = -1, 0, 0, 0, 0
+		s.dictLen = len(r.dict)
+		clear(s.dict[:])
+		copy(s.dict[:], r.dict)
+		// The buffers are pooled across traces and tenants: zero the
+		// per-record Read batch so operand slots beyond a record's
+		// NIn/NOut can only hold residue from this stream.
+		clear(s.recs[:])
+		r.v4 = s
+		return nil
 	default:
-		return nil, fmt.Errorf("%w: %d", ErrBadVersion, rd.version)
+		return fmt.Errorf("%w: %d", ErrBadVersion, r.version)
 	}
 }
 
@@ -342,9 +409,17 @@ func (r *Reader) readCompressedHeader(minPerRecord uint64) error {
 		}
 		r.dict[i] = unrotLoc(rot)
 	}
+	r.src = r.bufs.src
+	r.off = 0 // v3-v5 offsets are relative to the uncompressed payload
+	if r.version == Version5 {
+		return nil // each segment resets the decompressor (openV5Segment)
+	}
 	r.raw = &countByteReader{br: r.r}
-	r.src = bufio.NewReaderSize(flate.NewReader(r.raw), 1<<15)
-	r.off = 0 // v3/v4 offsets are relative to the uncompressed payload
+	z, err := r.bufs.inflate(r.raw)
+	if err != nil {
+		return err
+	}
+	r.src.Reset(z)
 	return nil
 }
 
@@ -371,11 +446,11 @@ func (r *Reader) ReadByte() (byte, error) { return r.readByte() }
 // Read fills e with the next record.  It returns io.EOF cleanly at the
 // end of the stream and io.ErrUnexpectedEOF on truncation.  Decode
 // errors carry the record's index and byte offset — within the file for
-// versions 1-2, within the uncompressed payload for versions 3-4 — so a
+// versions 1-2, within the uncompressed payload for versions 3-5 — so a
 // corrupt stream (e.g. a damaged upload) is diagnosable down to the
 // byte.
 func (r *Reader) Read(e *trace.Exec) error {
-	if r.version == Version4 {
+	if r.v4 != nil {
 		return r.readV4(e)
 	}
 	if r.version == Version3 {
@@ -565,17 +640,28 @@ func (r *Reader) readV3(e *trace.Exec) error {
 }
 
 // payloadTail runs the end-of-stream checks shared by the compressed
-// containers (versions 3 and 4) once, then reports io.EOF.  The
-// declared final record must also end the compressed frame, and the
-// frame must end the container: a payload that is shorter or longer
-// than declared, a frame with data after the final record, or container
-// bytes after the frame all mean corruption (or a hiding place), not a
-// short read.
+// containers (versions 3-5) once, then reports io.EOF.  The declared
+// final record must also end the compressed frame, and the frame must
+// end the container: a payload that is shorter or longer than declared,
+// a frame with data after the final record, or container bytes after
+// the frame all mean corruption (or a hiding place), not a short read.
+// Version 5 checked each segment's frame as its block loaded; after a
+// seek the inflated size of the skipped blocks is unknown, so only a
+// read from the first block can check the declared payload length.
 func (r *Reader) payloadTail() error {
 	if !r.tailChecked {
 		r.tailChecked = true
-		if r.off != int64(r.rawLen) {
+		if r.off != int64(r.rawLen) && (r.v5 == nil || r.v5.start == 0) {
 			return fmt.Errorf("tracefile: payload holds %d bytes after the final record, header declares %d", r.off, r.rawLen)
+		}
+		if r.v5 != nil {
+			if _, err := r.r.ReadByte(); err != io.EOF {
+				if err == nil {
+					return fmt.Errorf("tracefile: trailing data after the final segment")
+				}
+				return fmt.Errorf("tracefile: reading past the final segment: %w", err)
+			}
+			return io.EOF
 		}
 		if _, err := r.src.ReadByte(); err != io.EOF {
 			if err == nil {
@@ -597,7 +683,7 @@ func (r *Reader) payloadTail() error {
 	return io.EOF
 }
 
-// readV4 delivers one version-4 record from the buffered batch,
+// readV4 delivers one version-4/5 record from the buffered batch,
 // decoding the next run of the current block when the buffer drains.
 func (r *Reader) readV4(e *trace.Exec) error {
 	s := r.v4
@@ -613,7 +699,7 @@ func (r *Reader) readV4(e *trace.Exec) error {
 	return nil
 }
 
-// readBatchV4 decodes up to len(recs) version-4 records into recs,
+// readBatchV4 decodes up to len(recs) version-4/5 records into recs,
 // never crossing a block boundary, and returns how many it decoded.  It
 // returns io.EOF cleanly (after the tail checks) at the end of the
 // stream.  Records() runs at the decoded count, which may be ahead of
@@ -655,34 +741,44 @@ func (r *Reader) readBatchV4(recs []trace.Exec) (int, error) {
 // plane length, a frame that overruns the payload, a truncated plane —
 // names the block's first record and the payload offset the block
 // header starts at, so a damaged file is diagnosable down to the byte.
+// A version-5 block is read from its own segment, and its errors name
+// the segment's offset within the compressed payload instead.
 func (r *Reader) loadV4Block() error {
 	s := r.v4
 	s.blk++
 	count := blockRecords(r.declaredRecords, s.blk)
-	blockErr := func(start int64, err error) error {
-		return fmt.Errorf("tracefile: record %d (offset %d): block %d: %w",
-			uint64(s.blk)*BlockLen, start, s.blk, err)
-	}
 	start := r.off
+	blockErr := func(err error) error {
+		at := fmt.Sprintf("offset %d", start)
+		if r.v5 != nil {
+			at = fmt.Sprintf("segment offset %d", r.v5.offs[s.blk])
+		}
+		return fmt.Errorf("tracefile: record %d (%s): block %d: %w", uint64(s.blk)*BlockLen, at, s.blk, err)
+	}
+	if r.v5 != nil {
+		if err := r.openV5Segment(s.blk); err != nil {
+			return blockErr(err)
+		}
+	}
 	var lens v4PlaneLens
 	for i := range lens {
 		l, err := binary.ReadUvarint(r)
 		if err != nil {
-			return blockErr(start, fmt.Errorf("reading %s plane length: %w",
+			return blockErr(fmt.Errorf("reading %s plane length: %w",
 				v4PlaneNames[i], eofToUnexpected(err)))
 		}
 		if l > r.rawLen {
-			return blockErr(start, fmt.Errorf("%s plane declares %d bytes beyond the %d-byte payload",
+			return blockErr(fmt.Errorf("%s plane declares %d bytes beyond the %d-byte payload",
 				v4PlaneNames[i], l, r.rawLen))
 		}
 		lens[i] = int(l)
 	}
 	if err := checkV4PlaneLens(count, lens); err != nil {
-		return blockErr(start, err)
+		return blockErr(err)
 	}
 	size := v4BlockSize(count, lens)
 	if r.off+int64(size) > int64(r.rawLen) {
-		return blockErr(start, fmt.Errorf("%d plane bytes at offset %d extend past the declared %d-byte payload",
+		return blockErr(fmt.Errorf("%d plane bytes at offset %d extend past the declared %d-byte payload",
 			size, r.off, r.rawLen))
 	}
 	if cap(s.blockBuf) < size {
@@ -690,12 +786,18 @@ func (r *Reader) loadV4Block() error {
 	}
 	buf := s.blockBuf[:size]
 	if _, err := io.ReadFull(r.src, buf); err != nil {
-		return blockErr(start, fmt.Errorf("reading %d plane bytes: %w", size, eofToUnexpected(err)))
+		return blockErr(fmt.Errorf("reading %d plane bytes: %w", size, eofToUnexpected(err)))
 	}
 	r.off += int64(size)
-	if r.off > r.raw.n*maxV3Expansion+maxV3ExpansionSlack {
+	compressed := r.compressedRead()
+	if r.off > compressed*maxV3Expansion+maxV3ExpansionSlack {
 		return fmt.Errorf("tracefile: payload inflates %d bytes from %d compressed (limit %dx): decompression bomb",
-			r.off, r.raw.n, maxV3Expansion)
+			r.off, compressed, maxV3Expansion)
+	}
+	if r.v5 != nil {
+		if err := r.closeV5Segment(s.blk); err != nil {
+			return blockErr(err)
+		}
 	}
 	b := sliceV4Block(buf, count, lens)
 	if err := validateV4RecPlanes(b.flags, b.ops, uint64(s.blk)*BlockLen); err != nil {
@@ -708,14 +810,24 @@ func (r *Reader) loadV4Block() error {
 	return nil
 }
 
+// compressedRead is the compressed payload consumed since decoding
+// started, the expansion bound's denominator: for version 5, the
+// segments opened (each is read in full before its block is accepted).
+func (r *Reader) compressedRead() int64 {
+	if r.v5 != nil {
+		return r.v5.opened
+	}
+	return r.raw.n
+}
+
 // readBatch fills recs with consecutive records and returns how many it
-// delivered, or (0, io.EOF) at the end of the stream.  For version-4
+// delivered, or (0, io.EOF) at the end of the stream.  For version-4/5
 // streams a batch decodes directly into recs through the plane decoder
 // (after draining anything Read left buffered); for versions 1-3 it
 // loops the per-record Read.  FileStream drives replay through this so
 // batched consumers skip the per-record copy.
 func (r *Reader) readBatch(recs []trace.Exec) (int, error) {
-	if r.version == Version4 {
+	if r.v4 != nil {
 		s := r.v4
 		if s.bpos < s.bn {
 			n := copy(recs, s.recs[s.bpos:s.bn])
@@ -745,6 +857,11 @@ func (r *Reader) readRef(start int64) (trace.Loc, uint64, error) {
 	loc, err := binary.ReadUvarint(r)
 	if err != nil {
 		return 0, 0, r.trunc(start, err)
+	}
+	if loc>>62 == 3 {
+		// No writer can carry kind 3 (the compressed containers reject
+		// it in their dictionaries), so it must not load either.
+		return 0, 0, r.errAt(start, fmt.Errorf("location %#x has undefined kind", loc))
 	}
 	val, err := binary.ReadUvarint(r)
 	if err != nil {

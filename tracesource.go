@@ -287,12 +287,15 @@ func OpenTrace(path string) (*Trace, error) {
 
 // TraceFile returns a TraceSource backed by a trace file on disk,
 // replayed by streaming: every replay decodes the container
-// incrementally in O(batch) memory, however long the recording is.  On
-// first use the file is scanned once to compute (and, for indexed
-// containers, verify) its content digest — the source's cache identity
-// — so a batch of requests sharing the source validates it once.  Use
-// OpenTrace to load the file into memory instead, which buys O(1)
-// seeks at O(records) memory.
+// incrementally in O(batch) memory, however long the recording is.  A
+// version-5 file (what Save and the trace store write) also seeks: a
+// request's Skip jumps to the target block and decodes at most one
+// block's worth of skipped records, as an in-memory Trace does; older
+// versions decode past every skipped record.  On first use the file is
+// scanned once to compute (and, for indexed containers, verify) its
+// content digest — the source's cache identity — so a batch of
+// requests sharing the source validates it once.  Use OpenTrace to
+// load the file into memory instead, at O(records) memory.
 func TraceFile(path string) TraceSource {
 	return &fileSource{path: path}
 }
@@ -795,7 +798,7 @@ func (b *Batcher) TraceByDigest(digest string) (*Trace, bool) {
 }
 
 // WriteTraceTo streams the stored trace for a digest to w as a
-// version-4 trace file, serving the memory tier's encoding or copying
+// version-5 trace file, serving the memory tier's encoding or copying
 // the disk tier's file without decoding it (cmd/tlrserve's
 // GET /v1/traces/{digest} download is this call).  It reports the
 // bytes written and whether the digest was found; an error with zero
