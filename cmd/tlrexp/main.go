@@ -159,14 +159,13 @@ type sweepBench struct {
 
 	// Format-level statistics over internal/replaybench's workload mix
 	// (see EncodingStats).  encodeBytesPerRecord is the v5 container at
-	// rest; CI gates it at <= 0.5x of the v2 container, gates
+	// rest; CI gates it at <= 0.5x of the canonical encoding, gates
 	// decodeSpeedup (v4 plane-split decode vs the canonical per-record
 	// decode it replaced) at >= 2.0x, and gates decodeNsPerRecord at
 	// <= 2.25x stepNsPerRecord (measured ~1.9x).
 	EncodeBytesPerRecord       float64 `json:"encodeBytesPerRecord"`
 	EncodedMemBytesPerRecord   float64 `json:"encodedMemBytesPerRecord"`
 	CanonicalBytesPerRecord    float64 `json:"canonicalBytesPerRecord"`
-	V2FileBytesPerRecord       float64 `json:"v2FileBytesPerRecord"`
 	DecodeNsPerRecord          float64 `json:"decodeNsPerRecord"`
 	CanonicalDecodeNsPerRecord float64 `json:"canonicalDecodeNsPerRecord"`
 	StepNsPerRecord            float64 `json:"stepNsPerRecord"`
@@ -317,8 +316,8 @@ func runSweepBench(cfg expt.Config, path string) error {
 		b.ReplaySkip, b.FileScanSecs, b.FileReplaySecs, b.FileReplaySpeedup)
 	fmt.Printf("  shallow skip %d: execute %.2fs, replay %.2fs (%.2fx)\n",
 		b.ReplayShallowSkip, b.ExecuteShallowSecs, b.ReplayShallowSecs, b.ReplayShallowSpeedup)
-	fmt.Printf("trace encoding (workload mix): canonical %.1f B/rec (v2 file %.1f), v4 %.1f B/rec in memory, v5 %.1f on disk\n",
-		b.CanonicalBytesPerRecord, b.V2FileBytesPerRecord, b.EncodedMemBytesPerRecord, b.EncodeBytesPerRecord)
+	fmt.Printf("trace encoding (workload mix): canonical %.1f B/rec, v4 %.1f B/rec in memory, v5 %.1f on disk\n",
+		b.CanonicalBytesPerRecord, b.EncodedMemBytesPerRecord, b.EncodeBytesPerRecord)
 	fmt.Printf("  decode %.1f ns/rec (canonical decode %.1f, %.2fx; simulator step %.1f)\n",
 		b.DecodeNsPerRecord, b.CanonicalDecodeNsPerRecord, b.DecodeSpeedup, b.StepNsPerRecord)
 	fmt.Printf("streamed replay memory: %d records -> %d B allocated, %d records -> %d B (%.2f B/record)\n",
@@ -469,7 +468,6 @@ func runReplayBench(ctx context.Context, b *sweepBench) error {
 	b.EncodeBytesPerRecord = enc.FileBytesPerRecord
 	b.EncodedMemBytesPerRecord = enc.EncodedBytesPerRecord
 	b.CanonicalBytesPerRecord = enc.CanonicalBytesPerRecord
-	b.V2FileBytesPerRecord = enc.V2FileBytesPerRecord
 	b.DecodeNsPerRecord = enc.DecodeNsPerRecord
 	b.CanonicalDecodeNsPerRecord = enc.CanonicalDecodeNsPerRecord
 	b.StepNsPerRecord = enc.StepNsPerRecord

@@ -31,7 +31,6 @@
 package replaybench
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -110,8 +109,7 @@ type EncodingStats struct {
 	Records   uint64 // per workload
 
 	// Mean bytes per record (total bytes over total records).
-	CanonicalBytesPerRecord float64 // canonical record encoding (v1 body, v2 payload)
-	V2FileBytesPerRecord    float64 // v2 container as written
+	CanonicalBytesPerRecord float64 // canonical record encoding (the digest's domain)
 	EncodedBytesPerRecord   float64 // in-memory v4 plane-split encoding
 	FileBytesPerRecord      float64 // v5 container as written (per-block DEFLATE segments)
 
@@ -126,20 +124,12 @@ type EncodingStats struct {
 	DecodeSpeedup float64
 }
 
-// countWriter counts bytes written (for container sizes).
-type countWriter struct{ n int64 }
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	c.n += int64(len(p))
-	return len(p), nil
-}
-
 // MeasureEncoding records n instructions of each workload in the mix
 // and measures both encodings' density and decode cost against the live
 // simulator on the same streams.
 func MeasureEncoding(n uint64) (EncodingStats, error) {
 	st := EncodingStats{Workloads: EncodingWorkloads, Records: n, DecodeSpeedup: 1}
-	var totRecords, totCanon, totV2, totEnc, totFile uint64
+	var totRecords, totCanon, totEnc, totFile uint64
 	var stepNs, canonNs, decNs float64
 	geo := 1.0
 	for _, name := range EncodingWorkloads {
@@ -163,14 +153,11 @@ func MeasureEncoding(n uint64) (EncodingStats, error) {
 			return st, err
 		}
 		tr := rec.Trace()
-		var v2w, v5w countWriter
-		if _, err := tr.WriteToVersion(&v2w, tracefile.Version2); err != nil {
+		fileBytes, err := tr.WriteTo(io.Discard)
+		if err != nil {
 			return st, err
 		}
-		if _, err := tr.WriteTo(&v5w); err != nil {
-			return st, err
-		}
-		canon, err := canonicalBytes(tr)
+		canon, err := tr.Canonical()
 		if err != nil {
 			return st, err
 		}
@@ -186,9 +173,8 @@ func MeasureEncoding(n uint64) (EncodingStats, error) {
 		}
 		totRecords += got
 		totCanon += uint64(tr.CanonicalBytes())
-		totV2 += uint64(v2w.n)
 		totEnc += uint64(tr.Bytes())
-		totFile += uint64(v5w.n)
+		totFile += uint64(fileBytes)
 		stepNs += step
 		canonNs += cDec
 		decNs += vDec
@@ -196,7 +182,6 @@ func MeasureEncoding(n uint64) (EncodingStats, error) {
 	}
 	nw := float64(len(EncodingWorkloads))
 	st.CanonicalBytesPerRecord = float64(totCanon) / float64(totRecords)
-	st.V2FileBytesPerRecord = float64(totV2) / float64(totRecords)
 	st.EncodedBytesPerRecord = float64(totEnc) / float64(totRecords)
 	st.FileBytesPerRecord = float64(totFile) / float64(totRecords)
 	st.StepNsPerRecord = stepNs / nw
@@ -204,16 +189,6 @@ func MeasureEncoding(n uint64) (EncodingStats, error) {
 	st.DecodeNsPerRecord = decNs / nw
 	st.DecodeSpeedup = math.Pow(geo, 1/nw)
 	return st, nil
-}
-
-// canonicalBytes extracts the canonical record stream by writing the
-// version-1 container and stripping its 12-byte prelude.
-func canonicalBytes(tr *tracefile.Trace) ([]byte, error) {
-	var buf bytes.Buffer
-	if _, err := tr.WriteToVersion(&buf, tracefile.Version); err != nil {
-		return nil, err
-	}
-	return buf.Bytes()[12:], nil
 }
 
 // batchDecode drives the batched cursor over the whole trace, consuming

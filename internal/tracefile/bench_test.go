@@ -1,6 +1,7 @@
 package tracefile
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -78,7 +79,7 @@ func BenchmarkCursorRun(b *testing.B) {
 // the baseline for the decodeSpeedup number CI gates.
 func BenchmarkCanonicalDecode(b *testing.B) {
 	tr := benchTrace(b, 200_000)
-	canon, _, err := tr.canonicalEncoding()
+	canon, err := tr.Canonical()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -170,23 +171,31 @@ func BenchmarkFileStreamReplay(b *testing.B) {
 }
 
 // BenchmarkFileStreamSkip measures a disk-tier read after a deep skip:
-// open a file by path, skip 3/4 of it, read a 10k-record window.  A
+// open a file by path, skip into its last block, read to the end.  A
 // version-5 file seeks to the target block's segment; a version-4 file
-// must inflate and decode everything it skips.
+// must inflate and decode everything it skips.  Both arms hold the
+// committed v4 fixture's stream, since nothing writes version 4 any
+// more; its two blocks make the skip one block deep.
 func BenchmarkFileStreamSkip(b *testing.B) {
-	const n, window = 400_000, 10_000
-	tr := benchTrace(b, n)
-	for _, version := range []uint32{Version4, Version5} {
-		b.Run(fmt.Sprintf("v%d", version), func(b *testing.B) {
+	v4 := readFixture(b, fixtureName, Version4)
+	tr, err := Load(bytes.NewReader(v4))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var v5 bytes.Buffer
+	if _, err := tr.WriteTo(&v5); err != nil {
+		b.Fatal(err)
+	}
+	skip := tr.Records() - (tr.Records()-BlockLen)/2
+	for _, arm := range []struct {
+		version uint32
+		data    []byte
+	}{{Version4, v4}, {Version5, v5.Bytes()}} {
+		b.Run(fmt.Sprintf("v%d", arm.version), func(b *testing.B) {
 			path := filepath.Join(b.TempDir(), "bench.trc")
-			f, err := os.Create(path)
-			if err != nil {
+			if err := os.WriteFile(path, arm.data, 0o644); err != nil {
 				b.Fatal(err)
 			}
-			if _, err := tr.WriteToVersion(f, version); err != nil {
-				b.Fatal(err)
-			}
-			f.Close()
 			b.ReportAllocs()
 			b.ResetTimer()
 			var sink uint64
@@ -195,18 +204,20 @@ func BenchmarkFileStreamSkip(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := s.Skip(n * 3 / 4); err != nil {
+				if _, err := s.Skip(skip); err != nil {
 					b.Fatal(err)
 				}
-				for got := 0; got < window; {
+				for {
 					batch, err := s.NextBatch()
+					if err == io.EOF {
+						break
+					}
 					if err != nil {
 						b.Fatal(err)
 					}
 					for j := range batch {
 						sink += batch[j].PC
 					}
-					got += len(batch)
 				}
 				s.Close()
 			}

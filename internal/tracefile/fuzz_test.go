@@ -7,9 +7,7 @@ import (
 	"reflect"
 	"testing"
 
-	"github.com/tracereuse/tlr/internal/cpu"
 	"github.com/tracereuse/tlr/internal/trace"
-	"github.com/tracereuse/tlr/internal/workload"
 )
 
 // FuzzTraceReader hardens the trace decoder against untrusted input:
@@ -19,25 +17,11 @@ import (
 // invariants, and Load must round-trip to an identical, identically
 // digested trace.
 func FuzzTraceReader(f *testing.F) {
-	// Seeds: a real recorded stream in the first four container
-	// versions, plus truncations and header corruptions of each.
-	w, _ := workload.ByName("compress")
-	prog, err := w.Program()
-	if err != nil {
-		f.Fatal(err)
-	}
-	rec := NewRecorder()
-	if _, err := cpu.New(prog).Run(500, rec.Write); err != nil {
-		f.Fatal(err)
-	}
-	tr := rec.Trace()
-
-	for _, version := range []uint32{Version, Version2, Version3, Version4} {
-		var buf bytes.Buffer
-		if _, err := tr.WriteToVersion(&buf, version); err != nil {
-			f.Fatal(err)
-		}
-		seed := buf.Bytes()
+	// Seeds: the committed fixtures of a real recorded stream in the
+	// first four container versions (see TestCrossVersionIdentical),
+	// plus truncations and header corruptions of each.
+	for _, version := range legacyVersions {
+		seed := readFixture(f, fixtureName, version)
 		f.Add(seed)
 		f.Add(seed[:len(seed)/2])
 		f.Add(seed[:13])
@@ -58,11 +42,10 @@ func FuzzTraceReader(f *testing.F) {
 	f.Add([]byte("TLRTRACE"))
 	f.Add([]byte{})
 
-	// Version-5 seeds: the stream above (one segment) and a two-block
-	// stream, each whole, with a flipped segment-table byte, and with a
-	// flip inside the second segment.
-	multi := recordWorkload(f, "compress", BlockLen+300)
-	for _, tr := range []*Trace{tr, multi} {
+	// Version-5 seeds: a one-segment and a two-block stream, each whole,
+	// with a flipped segment-table byte, and with a flip inside the
+	// second segment.
+	for _, tr := range []*Trace{recordWorkload(f, "compress", 500), recordWorkload(f, "compress", BlockLen+300)} {
 		var buf bytes.Buffer
 		if _, err := tr.WriteTo(&buf); err != nil {
 			f.Fatal(err)

@@ -20,7 +20,6 @@ package tracefile
 import (
 	"bufio"
 	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash"
@@ -381,19 +380,8 @@ func Scan(r io.Reader) (ScanInfo, error) {
 	}
 	info.sum = h.sum()
 	info.Digest = fmt.Sprintf("%s%x", DigestPrefix, info.sum)
-	if rd.version >= Version2 {
-		if info.Records != rd.declaredRecords {
-			return ScanInfo{}, fmt.Errorf("tracefile: header declares %d records, stream holds %d",
-				rd.declaredRecords, info.Records)
-		}
-		if info.sum != rd.declaredDigest {
-			return ScanInfo{}, fmt.Errorf("tracefile: content digest mismatch: header %s%x, stream %s",
-				DigestPrefix, rd.declaredDigest, info.Digest)
-		}
-	}
-	if rd.version >= Version3 && uint64(info.CanonicalBytes) != rd.declaredCanonical {
-		return ScanInfo{}, fmt.Errorf("tracefile: header declares %d canonical bytes, stream holds %d",
-			rd.declaredCanonical, info.CanonicalBytes)
+	if err := rd.checkHeader(info.Records, info.sum, uint64(info.CanonicalBytes)); err != nil {
+		return ScanInfo{}, err
 	}
 	return info, nil
 }
@@ -581,12 +569,6 @@ func transcodeV5File(dst string, src io.Reader, scan ScanInfo) error {
 	}
 	return writeFileRenamed(dst, func(w io.Writer) error {
 		bw := bufio.NewWriterSize(w, 1<<16)
-		var head [12]byte
-		copy(head[:], Magic[:])
-		binary.LittleEndian.PutUint32(head[8:], Version5)
-		if _, err := bw.Write(head[:]); err != nil {
-			return err
-		}
 		if err := writePrelude(bw, scan.Records, scan.sum, uint64(scan.CanonicalBytes), seg.raw, scan.dict); err != nil {
 			return err
 		}

@@ -3,8 +3,8 @@ package tracefile
 // The in-memory trace: an immutable record stream held in the version-4
 // plane-split encoding (see v4.go) with a content digest and per-block
 // offsets.  This is the unit the service's trace store holds and the
-// replay engines consume — the Reader/Writer pair streams records
-// through io, but a Trace can be digest-addressed (stable cache keys),
+// replay engines consume — the Reader streams records from any
+// container through io, but a Trace can be digest-addressed (stable cache keys),
 // skipped into in O(1) via its block offsets, and replayed many times
 // through a block-batched Cursor without re-parsing headers.
 //
@@ -19,7 +19,6 @@ package tracefile
 import (
 	"bufio"
 	"bytes"
-	"compress/flate"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -31,8 +30,8 @@ import (
 )
 
 // IndexInterval is the record granularity of the version-2 container's
-// skip index (kept for compatibility; the in-memory Trace seeks via its
-// v3 block offsets instead, at BlockLen granularity).
+// skip index (checked when reading v2 files; the in-memory Trace seeks
+// via its block offsets instead, at BlockLen granularity).
 const IndexInterval = 4096
 
 // DigestPrefix names the digest algorithm in a Trace digest string.
@@ -319,7 +318,7 @@ func (c *Cursor) Run(ctx context.Context, max uint64, fn func(*trace.Exec)) (uin
 
 // appendRecord appends the canonical encoding of e to buf.  It is the
 // single definition of the canonical record format (the digest's
-// domain); Writer and Recorder share it.
+// domain); Recorder and Trace.Canonical share it.
 func appendRecord(buf []byte, e *trace.Exec) []byte {
 	flags := byte(e.NIn)<<flagNInShift | byte(e.NOut)<<flagNOutShift
 	if e.SideEffect {
@@ -475,12 +474,20 @@ func (c *countWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// WriteTo serialises the trace in the current container version
-// (version 5: header with record count, content digest, canonical
-// size, location dictionary and segment table, then each plane-split
-// block as its own DEFLATE segment).  Use WriteToVersion to write the
-// older containers.
-func (t *Trace) WriteTo(w io.Writer) (int64, error) { return t.WriteToVersion(w, Version5) }
+// WriteTo serialises the trace in version 5, the only container
+// version the package writes (it reads all five): header with record
+// count, content digest, canonical size, location dictionary and
+// segment table, then each plane-split block as its own DEFLATE
+// segment.
+func (t *Trace) WriteTo(w io.Writer) (int64, error) {
+	cw := &countWriter{w: w}
+	bw := bufio.NewWriterSize(cw, 1<<16)
+	if err := t.writeV5Body(bw); err != nil {
+		return cw.n, err
+	}
+	err := bw.Flush()
+	return cw.n, err
+}
 
 // Save writes the trace to a file (see WriteTo) through a temp file in
 // the target's directory renamed into place, so a failure mid-write
@@ -492,129 +499,39 @@ func (t *Trace) Save(path string) error {
 	})
 }
 
-// WriteToVersion serialises the trace in any container version the
-// package can read.  All five carry the same records and load back to
-// the same digest; they differ in framing: version 1 is the bare
-// canonical stream, version 2 prefixes the count/digest/skip-index to
-// the canonical stream, version 3 frames the delta-encoded record bytes
-// with flate, version 4 frames the plane-split block bytes the same way
-// — the smallest and by far the fastest to decode — and version 5 (the
-// default) compresses each plane-split block separately so readers can
-// seek by block.
-func (t *Trace) WriteToVersion(w io.Writer, version uint32) (int64, error) {
-	cw := &countWriter{w: w}
-	bw := bufio.NewWriterSize(cw, 1<<16)
-	if _, err := bw.Write(Magic[:]); err != nil {
-		return cw.n, err
-	}
-	var u4 [4]byte
-	binary.LittleEndian.PutUint32(u4[:], version)
-	if _, err := bw.Write(u4[:]); err != nil {
-		return cw.n, err
-	}
-	var err error
-	switch version {
-	case Version:
-		err = t.writeV1Body(bw)
-	case Version2:
-		err = t.writeV2Body(bw)
-	case Version3:
-		err = t.writeV3Body(bw)
-	case Version4:
-		err = t.writeV4Body(bw)
-	case Version5:
-		err = t.writeV5Body(bw)
-	default:
-		err = fmt.Errorf("%w: %d", ErrBadVersion, version)
-	}
-	if err != nil {
-		return cw.n, err
-	}
-	err = bw.Flush()
-	return cw.n, err
-}
-
-// canonicalEncoding re-derives the canonical record stream (and the
-// version-2 skip index over it) from the v3 form, for writing the older
-// containers.
-func (t *Trace) canonicalEncoding() ([]byte, []int, error) {
+// Canonical re-derives the stream's canonical record encoding (the
+// bytes the digest covers; CanonicalBytes long) from the v4 form.  It
+// is the input CanonicalDecode measures.
+func (t *Trace) Canonical() ([]byte, error) {
 	canon := make([]byte, 0, t.canonical)
-	var index []int
 	cur := t.Cursor()
 	defer cur.Close()
 	var e trace.Exec
 	for i := uint64(0); i < t.n; i++ {
-		if i%IndexInterval == 0 {
-			index = append(index, len(canon))
-		}
 		if err := cur.Next(&e); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		canon = appendRecord(canon, &e)
 	}
-	return canon, index, nil
+	return canon, nil
 }
 
-func (t *Trace) writeV1Body(bw *bufio.Writer) error {
-	canon, _, err := t.canonicalEncoding()
-	if err != nil {
-		return err
-	}
-	_, err = bw.Write(canon)
-	return err
-}
-
-// The version-2 body, after the shared 12-byte magic+version prelude:
-//
-//	records:u64 digest:32B interval:u32 nIndex:u32 {offset:u64}*nIndex
-//	record bytes … EOF
-func (t *Trace) writeV2Body(bw *bufio.Writer) error {
-	canon, index, err := t.canonicalEncoding()
-	if err != nil {
-		return err
-	}
-	var u8 [8]byte
-	var u4 [4]byte
-	binary.LittleEndian.PutUint64(u8[:], t.n)
-	if _, err := bw.Write(u8[:]); err != nil {
-		return err
-	}
-	if _, err := bw.Write(t.sum[:]); err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint32(u4[:], IndexInterval)
-	if _, err := bw.Write(u4[:]); err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint32(u4[:], uint32(len(index)))
-	if _, err := bw.Write(u4[:]); err != nil {
-		return err
-	}
-	for _, off := range index {
-		binary.LittleEndian.PutUint64(u8[:], uint64(off))
-		if _, err := bw.Write(u8[:]); err != nil {
-			return err
-		}
-	}
-	_, err = bw.Write(canon)
-	return err
-}
-
-// The version-3, -4 and -5 bodies share one prelude after the 12-byte
-// magic+version:
+// writePrelude writes the version-5 container up to its segment
+// table: the 12-byte magic+version, then the prelude versions 3 and 4
+// share too:
 //
 //	records:u64 digest:32B canonical:u64 rawLen:u64
 //	dictLen:u32 {rotLoc:uvarint}*dictLen
 //
-// Versions 3 and 4 follow it with flate(record payload) to EOF and
-// differ only in what the compressed payload holds: version 3 carries
-// the v3 record bytes, version 4 the plane-split block bytes.  Version
-// 5 follows it with the segment table and the per-block segments (see
-// v5.go).  The digest still covers the canonical encoding
+// Versions 3 and 4 (read-only) follow it with flate(record payload) to
+// EOF; version 5 follows it with the segment table and the per-block
+// segments (see v5.go).  The digest still covers the canonical encoding
 // (container-independent identity); rawLen is the uncompressed payload
 // length, bounding what a reader will inflate.
 func writePrelude(w io.Writer, records uint64, sum [32]byte, canonical, rawLen uint64, dict []trace.Loc) error {
-	buf := make([]byte, 0, 60+binary.MaxVarintLen64*len(dict))
+	buf := make([]byte, 0, 72+binary.MaxVarintLen64*len(dict))
+	buf = append(buf, Magic[:]...)
+	buf = binary.LittleEndian.AppendUint32(buf, Version5)
 	buf = binary.LittleEndian.AppendUint64(buf, records)
 	buf = append(buf, sum[:]...)
 	buf = binary.LittleEndian.AppendUint64(buf, canonical)
@@ -627,39 +544,8 @@ func writePrelude(w io.Writer, records uint64, sum [32]byte, canonical, rawLen u
 	return err
 }
 
-// writeCompressedBody writes a version-3/4 body: the prelude, then the
-// payload as one DEFLATE stream.
-func (t *Trace) writeCompressedBody(bw *bufio.Writer, payload []byte) error {
-	if err := writePrelude(bw, t.n, t.sum, uint64(t.canonical), uint64(len(payload)), t.dict); err != nil {
-		return err
-	}
-	zw, err := flate.NewWriter(bw, flate.DefaultCompression)
-	if err != nil {
-		return err
-	}
-	if _, err := zw.Write(payload); err != nil {
-		return err
-	}
-	return zw.Close()
-}
-
-// writeV3Body re-derives the version-3 record bytes from the v4 form
-// (same dictionary, same block grouping — only the record framing
-// differs) and writes them as the compressed payload.
-func (t *Trace) writeV3Body(bw *bufio.Writer) error {
-	enc, err := t.v3Encoding()
-	if err != nil {
-		return err
-	}
-	return t.writeCompressedBody(bw, enc)
-}
-
-func (t *Trace) writeV4Body(bw *bufio.Writer) error {
-	return t.writeCompressedBody(bw, t.enc)
-}
-
 // writeV5Body compresses each plane-split block as its own segment,
-// then writes the prelude, the segment table and the segments.
+// then writes the whole container: prelude, segment table, segments.
 func (t *Trace) writeV5Body(bw *bufio.Writer) error {
 	var payload bytes.Buffer
 	payload.Grow(len(t.enc) / 4)
@@ -684,22 +570,6 @@ func (t *Trace) writeV5Body(bw *bufio.Writer) error {
 	return err
 }
 
-// v3Encoding transcodes the trace to the version-3 record bytes, for
-// writing version-3 containers.
-func (t *Trace) v3Encoding() ([]byte, error) {
-	v := newV3Encoder(t.dict, len(t.enc)*3/2)
-	cur := t.Cursor()
-	defer cur.Close()
-	var e trace.Exec
-	for i := uint64(0); i < t.n; i++ {
-		if err := cur.Next(&e); err != nil {
-			return nil, err
-		}
-		v.write(&e)
-	}
-	return v.enc, nil
-}
-
 // Load reads a complete trace from r in any container version,
 // validates every record, and returns it re-encoded canonically (so the
 // digest is container-independent).  For version-2 and later input the
@@ -719,17 +589,8 @@ func Load(r io.Reader) (*Trace, error) {
 		return nil, err
 	}
 	t := rec.Trace()
-	if tr.version >= Version2 {
-		if t.n != tr.declaredRecords {
-			return nil, fmt.Errorf("tracefile: header declares %d records, stream holds %d", tr.declaredRecords, t.n)
-		}
-		if want := fmt.Sprintf("%s%x", DigestPrefix, tr.declaredDigest); want != t.digest {
-			return nil, fmt.Errorf("tracefile: content digest mismatch: header %s, stream %s", want, t.digest)
-		}
-	}
-	if tr.version >= Version3 && uint64(t.canonical) != tr.declaredCanonical {
-		return nil, fmt.Errorf("tracefile: header declares %d canonical bytes, stream holds %d",
-			tr.declaredCanonical, t.canonical)
+	if err := tr.checkHeader(t.n, t.sum, uint64(t.canonical)); err != nil {
+		return nil, err
 	}
 	return t, nil
 }

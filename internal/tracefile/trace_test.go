@@ -3,7 +3,10 @@ package tracefile
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -207,40 +210,98 @@ func TestCursorRunBudgetAndCancel(t *testing.T) {
 	}
 }
 
-// TestCrossVersionIdentical: one canonical recording written in every
-// container version decodes record-identically and digest-identically
-// in all of them.
-func TestCrossVersionIdentical(t *testing.T) {
-	tr := recordWorkload(t, "compress", 8_000)
+// The legacy-version fixtures: the package writes only version 5, so
+// versions 1-4 are read from files an older build wrote.  See
+// TestCrossVersionIdentical for how they were made.
+const (
+	fixtureName     = "compress-5000"
+	fixtureWorkload = "compress"
+	fixtureRecords  = 5_000
+	fixtureDigest   = "sha256:e67479e9c1152057ba52547b39652ca6ddeaec57685437a149bc8527ca48bc6b"
+)
 
-	loads := make(map[uint32]*Trace)
-	for _, version := range []uint32{Version, Version2, Version3, Version4, Version5} {
-		var buf bytes.Buffer
-		if _, err := tr.WriteToVersion(&buf, version); err != nil {
-			t.Fatalf("writing v%d: %v", version, err)
-		}
-		r, err := NewReader(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("v%d header: %v", version, err)
-		}
-		if r.Version() != version {
-			t.Fatalf("wrote v%d, reader found v%d", version, r.Version())
-		}
-		loaded, err := Load(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("loading v%d: %v", version, err)
-		}
-		loads[version] = loaded
+// legacyVersions are the container versions only fixtures carry.
+var legacyVersions = []uint32{Version1, Version2, Version3, Version4}
+
+// versionCase is one container to read: data, in the given version,
+// holds want's records.
+type versionCase struct {
+	version uint32
+	data    []byte
+	want    *Trace
+}
+
+// readFixture returns the committed fixture testdata/<name>.v<version>.trc.
+func readFixture(t testing.TB, name string, version uint32) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", fmt.Sprintf("%s.v%d.trc", name, version)))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for version, loaded := range loads {
+	return data
+}
+
+// everyVersion returns one case per container version: the committed
+// fixture testdata/<fixture>.v<N>.trc for versions 1-4, each holding
+// legacy's records, and current written as version 5.
+func everyVersion(t testing.TB, fixture string, legacy, current *Trace) []versionCase {
+	t.Helper()
+	var cases []versionCase
+	for _, version := range legacyVersions {
+		cases = append(cases, versionCase{version, readFixture(t, fixture, version), legacy})
+	}
+	var buf bytes.Buffer
+	if _, err := current.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return append(cases, versionCase{Version5, buf.Bytes(), current})
+}
+
+// TestCrossVersionIdentical: one canonical recording, carried in every
+// container version, decodes record-identically and digest-identically
+// in all of them.
+//
+// Versions 1-4 come from committed fixtures, written once at commit
+// 94c35fe by that build's writer for each container version:
+//
+//   - testdata/compress-5000.v{1,2,3,4}.trc: the first 5,000 records of
+//     the live compress workload (recordWorkload(t, "compress", 5000)):
+//     digest sha256:e67479e9c1152057ba52547b39652ca6ddeaec57685437a149bc8527ca48bc6b,
+//     81,472 canonical bytes.  5,000 records cross one v2 skip-index and
+//     one v3/v4 block boundary.
+//   - testdata/empty.v{1,2,3,4}.trc: an empty Recorder's trace, digest
+//     sha256:e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855.
+//
+// The fixtures are never regenerated: this build cannot write them, and
+// they stand for files older builds left on disk.
+func TestCrossVersionIdentical(t *testing.T) {
+	tr := recordWorkload(t, fixtureWorkload, fixtureRecords)
+	if tr.Digest() != fixtureDigest {
+		t.Fatalf("live %s recording has digest %s, the fixtures %s", fixtureWorkload, tr.Digest(), fixtureDigest)
+	}
+	cases := everyVersion(t, fixtureName, tr, tr)
+	sizes := make(map[uint32]int)
+	for _, c := range cases {
+		sizes[c.version] = len(c.data)
+		r, err := NewReader(bytes.NewReader(c.data))
+		if err != nil {
+			t.Fatalf("v%d header: %v", c.version, err)
+		}
+		if r.Version() != c.version {
+			t.Fatalf("v%d input, reader found v%d", c.version, r.Version())
+		}
+		loaded, err := Load(bytes.NewReader(c.data))
+		if err != nil {
+			t.Fatalf("loading v%d: %v", c.version, err)
+		}
 		if loaded.Digest() != tr.Digest() {
-			t.Errorf("v%d digest %s, recorded %s", version, loaded.Digest(), tr.Digest())
+			t.Errorf("v%d digest %s, recorded %s", c.version, loaded.Digest(), tr.Digest())
 		}
 		if loaded.Records() != tr.Records() {
-			t.Errorf("v%d holds %d records, recorded %d", version, loaded.Records(), tr.Records())
+			t.Errorf("v%d holds %d records, recorded %d", c.version, loaded.Records(), tr.Records())
 		}
 		if loaded.CanonicalBytes() != tr.CanonicalBytes() {
-			t.Errorf("v%d canonical %d bytes, recorded %d", version, loaded.CanonicalBytes(), tr.CanonicalBytes())
+			t.Errorf("v%d canonical %d bytes, recorded %d", c.version, loaded.CanonicalBytes(), tr.CanonicalBytes())
 		}
 		// Record-for-record equality against the original, not just the
 		// digest's word for it.
@@ -254,29 +315,21 @@ func TestCrossVersionIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			if normalize(ea) != normalize(eb) {
-				t.Fatalf("v%d record %d differs from the recording", version, i)
+				t.Fatalf("v%d record %d differs from the recording", c.version, i)
 			}
 		}
 		a.Close()
 		b.Close()
 	}
 
-	// Both compressed containers must beat the canonical ones by a wide
+	// The compressed containers must beat the canonical ones by a wide
 	// margin (v3 vs v4 relative size is workload-dependent: flate likes
 	// v3's interleaved stream on some integer codes, v4's planes on FP
 	// ones — so no ordering is asserted between the two).
-	sizes := make(map[uint32]int)
-	for _, version := range []uint32{Version, Version2, Version3, Version4, Version5} {
-		var buf bytes.Buffer
-		if _, err := tr.WriteToVersion(&buf, version); err != nil {
-			t.Fatal(err)
-		}
-		sizes[version] = buf.Len()
-	}
 	for _, compressed := range []uint32{Version3, Version4, Version5} {
-		if sizes[compressed] >= sizes[Version2] || sizes[compressed] >= sizes[Version] {
+		if sizes[compressed] >= sizes[Version2] || sizes[compressed] >= sizes[Version1] {
 			t.Errorf("v%d container (%d bytes) not smaller than v1 (%d) / v2 (%d)",
-				compressed, sizes[compressed], sizes[Version], sizes[Version2])
+				compressed, sizes[compressed], sizes[Version1], sizes[Version2])
 		}
 	}
 }
@@ -444,17 +497,13 @@ func TestEmptyTraceRoundTrip(t *testing.T) {
 	if err := tr.Cursor().Next(&e); err != io.EOF {
 		t.Fatalf("empty cursor: err = %v, want io.EOF", err)
 	}
-	for _, version := range []uint32{Version, Version2, Version3, Version4, Version5} {
-		var buf bytes.Buffer
-		if _, err := tr.WriteToVersion(&buf, version); err != nil {
-			t.Fatalf("writing empty v%d: %v", version, err)
-		}
-		loaded, err := Load(bytes.NewReader(buf.Bytes()))
+	for _, c := range everyVersion(t, "empty", tr, tr) {
+		loaded, err := Load(bytes.NewReader(c.data))
 		if err != nil {
-			t.Fatalf("loading empty v%d: %v", version, err)
+			t.Fatalf("loading empty v%d: %v", c.version, err)
 		}
 		if loaded.Records() != 0 || loaded.Digest() != tr.Digest() {
-			t.Fatalf("empty v%d round trip: %d records, digest %s", version, loaded.Records(), loaded.Digest())
+			t.Fatalf("empty v%d round trip: %d records, digest %s", c.version, loaded.Records(), loaded.Digest())
 		}
 	}
 }
@@ -463,13 +512,11 @@ func TestEmptyTraceRoundTrip(t *testing.T) {
 // and its byte offset.
 func TestReaderErrorsCarryOffset(t *testing.T) {
 	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
+	buf.Write(Magic[:])
+	buf.Write([]byte{1, 0, 0, 0}) // version 1
 	var e trace.Exec
 	e.PC, e.Next, e.Op, e.Lat = 5, 6, 1, 1 // a valid op
-	if err := w.Write(&e); err != nil {
-		t.Fatal(err)
-	}
-	_ = w.Flush()
+	buf.Write(appendRecord(nil, &e))
 	good := buf.Len()
 	buf.Write([]byte{flagSeqNext, 250, 1, 5}) // record 1: undefined op at offset `good`
 

@@ -26,16 +26,17 @@
 // at below simulator-step cost; it is what the in-memory Trace holds.
 //
 // Five container versions carry the records after the 8-byte magic and
-// 4-byte version: version 1 is a bare canonical stream (records to EOF,
-// writable without knowing the length); version 2 prefixes the record
-// count, a sha256 content digest and a skip index to the canonical
-// stream; versions 3 and 4 prefix count, digest, canonical size and the
-// location dictionary to the flate-compressed record payload (v3 record
-// bytes or v4 plane-split blocks respectively); version 5 (see v5.go,
-// the default) compresses each v4 block as its own DEFLATE segment
-// behind a table of segment lengths, so files seek by block.  All five
-// load back to the same digest; docs/FORMAT.md is the normative
-// byte-level spec.
+// 4-byte version: version 1 is a bare canonical stream (records to
+// EOF); version 2 prefixes the record count, a sha256 content digest
+// and a skip index to the canonical stream; versions 3 and 4 prefix
+// count, digest, canonical size and the location dictionary to the
+// flate-compressed record payload (v3 record bytes or v4 plane-split
+// blocks respectively); version 5 (see v5.go) compresses each v4 block
+// as its own DEFLATE segment behind a table of segment lengths, so
+// files seek by block.  Version 5 is the only one the package writes;
+// all five load back to the same digest, and testdata holds fixture
+// files an older build wrote in versions 1-4.  docs/FORMAT.md is the
+// normative byte-level spec.
 package tracefile
 
 import (
@@ -54,8 +55,9 @@ import (
 // Magic identifies a trace file.
 var Magic = [8]byte{'T', 'L', 'R', 'T', 'R', 'A', 'C', 'E'}
 
-// Version is the streaming container version the Writer emits.
-const Version uint32 = 1
+// Version1 is the bare container version: the canonical record stream
+// to EOF, with no header fields.
+const Version1 uint32 = 1
 
 // Version2 is the indexed container version: record count, content
 // digest and skip index before the canonical record stream.
@@ -96,44 +98,6 @@ var ErrBadMagic = errors.New("tracefile: bad magic")
 
 // ErrBadVersion reports an unsupported format version.
 var ErrBadVersion = errors.New("tracefile: unsupported version")
-
-// Writer streams execution records to an io.Writer in the version-1
-// container (no index — use Trace.WriteTo for the indexed, compressed
-// form).
-type Writer struct {
-	w   *bufio.Writer
-	buf [4 * binary.MaxVarintLen64]byte
-	n   uint64
-}
-
-// NewWriter writes the header and returns a Writer.
-func NewWriter(w io.Writer) (*Writer, error) {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.Write(Magic[:]); err != nil {
-		return nil, err
-	}
-	var v [4]byte
-	binary.LittleEndian.PutUint32(v[:], Version)
-	if _, err := bw.Write(v[:]); err != nil {
-		return nil, err
-	}
-	return &Writer{w: bw}, nil
-}
-
-// Write appends one record.
-func (w *Writer) Write(e *trace.Exec) error {
-	if _, err := w.w.Write(appendRecord(w.buf[:0], e)); err != nil {
-		return err
-	}
-	w.n++
-	return nil
-}
-
-// Records returns how many records were written.
-func (w *Writer) Records() uint64 { return w.n }
-
-// Flush drains buffered data to the underlying writer.
-func (w *Writer) Flush() error { return w.w.Flush() }
 
 // Reader streams execution records from an io.Reader.  It accepts all
 // five container versions; Version reports which one it found.
@@ -286,7 +250,7 @@ func (r *Reader) readHeader() error {
 	}
 	r.version = binary.LittleEndian.Uint32(v[:])
 	switch r.version {
-	case Version:
+	case Version1:
 		return nil
 	case Version2:
 		return r.readV2Header()
@@ -319,6 +283,27 @@ func (r *Reader) readHeader() error {
 
 // Version reports the container version of the stream being read.
 func (r *Reader) Version() uint32 { return r.version }
+
+// checkHeader compares what a fully read stream held against what the
+// container header declared: the record count and content digest
+// (version 2 on) and the canonical size (version 3 on).  A mismatch
+// means the file was corrupted or tampered with.
+func (r *Reader) checkHeader(records uint64, sum [32]byte, canonical uint64) error {
+	if r.version >= Version2 {
+		if records != r.declaredRecords {
+			return fmt.Errorf("tracefile: header declares %d records, stream holds %d", r.declaredRecords, records)
+		}
+		if sum != r.declaredDigest {
+			return fmt.Errorf("tracefile: content digest mismatch: header %s%x, stream %s%x",
+				DigestPrefix, r.declaredDigest, DigestPrefix, sum)
+		}
+	}
+	if r.version >= Version3 && canonical != r.declaredCanonical {
+		return fmt.Errorf("tracefile: header declares %d canonical bytes, stream holds %d",
+			r.declaredCanonical, canonical)
+	}
+	return nil
+}
 
 // readV2Header consumes the version-2 prelude: record count, digest and
 // skip index.  A streaming Reader has no use for the index (it cannot

@@ -11,26 +11,27 @@ import (
 	"github.com/tracereuse/tlr/internal/workload"
 )
 
+// recordedFile records execs and returns them as a trace file.
+func recordedFile(t *testing.T, execs []trace.Exec) *bytes.Buffer {
+	t.Helper()
+	rec := NewRecorder()
+	for i := range execs {
+		rec.Write(&execs[i])
+	}
+	if rec.Records() != uint64(len(execs)) {
+		t.Fatalf("recorder counted %d records", rec.Records())
+	}
+	var buf bytes.Buffer
+	if _, err := rec.Trace().WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return &buf
+}
+
 func roundTrip(t *testing.T, execs []trace.Exec) []trace.Exec {
 	t.Helper()
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range execs {
-		if err := w.Write(&execs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if w.Records() != uint64(len(execs)) {
-		t.Fatalf("writer counted %d records", w.Records())
-	}
-
-	r, err := NewReader(&buf)
+	buf := recordedFile(t, execs)
+	r, err := NewReader(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,22 +94,12 @@ func TestRoundTripRealWorkloadStream(t *testing.T) {
 	}
 	c := cpu.New(prog)
 	var recorded []trace.Exec
-	var buf bytes.Buffer
-	tw, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if _, err := c.Run(20_000, func(e *trace.Exec) {
 		recorded = append(recorded, *e)
-		if err := tw.Write(e); err != nil {
-			t.Fatal(err)
-		}
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := tw.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	buf := recordedFile(t, recorded)
 
 	// Compactness: well under the ~100-byte in-memory footprint.
 	if avg := float64(buf.Len()) / float64(len(recorded)); avg > 30 {
@@ -157,13 +148,13 @@ func TestBadVersion(t *testing.T) {
 
 func TestTruncatedStream(t *testing.T) {
 	var full bytes.Buffer
-	w, _ := NewWriter(&full)
+	full.Write(Magic[:])
+	full.Write([]byte{1, 0, 0, 0}) // version 1
 	var e trace.Exec
 	e.PC, e.Next, e.Op, e.Lat = 5, 6, isa.ADD, 1
 	e.AddIn(trace.IntReg(1), 1<<40) // multi-byte varint
 	e.AddOut(trace.IntReg(2), 7)
-	_ = w.Write(&e)
-	_ = w.Flush()
+	full.Write(appendRecord(nil, &e))
 
 	// Cut the stream mid-record: every prefix after the header must give
 	// ErrUnexpectedEOF, never a silent success.
@@ -196,8 +187,8 @@ func TestUndefinedOpRejected(t *testing.T) {
 
 func TestEmptyStream(t *testing.T) {
 	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
-	_ = w.Flush()
+	buf.Write(Magic[:])
+	buf.Write([]byte{1, 0, 0, 0}) // version 1
 	r, err := NewReader(&buf)
 	if err != nil {
 		t.Fatal(err)
@@ -209,19 +200,12 @@ func TestEmptyStream(t *testing.T) {
 }
 
 func TestForEachEarlyStop(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
-	var e trace.Exec
-	e.Op = isa.NOP
-	e.Lat = 1
-	e.Next = 1
-	for i := 0; i < 10; i++ {
-		e.PC = uint64(i)
-		e.Next = uint64(i + 1)
-		_ = w.Write(&e)
+	execs := make([]trace.Exec, 10)
+	for i := range execs {
+		execs[i].Op, execs[i].Lat = isa.NOP, 1
+		execs[i].PC, execs[i].Next = uint64(i), uint64(i+1)
 	}
-	_ = w.Flush()
-	r, _ := NewReader(&buf)
+	r, _ := NewReader(recordedFile(t, execs))
 	count := 0
 	if err := r.ForEach(func(*trace.Exec) bool {
 		count++

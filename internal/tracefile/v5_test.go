@@ -3,7 +3,6 @@ package tracefile
 import (
 	"bytes"
 	"compress/flate"
-	"encoding/binary"
 	"io"
 	"os"
 	"path/filepath"
@@ -74,10 +73,6 @@ func deflateSegment(t *testing.T, b []byte, last bool) []byte {
 func v5Container(t *testing.T, tr *Trace, lens []uint64, payload []byte) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	buf.Write(Magic[:])
-	if err := binary.Write(&buf, binary.LittleEndian, Version5); err != nil {
-		t.Fatal(err)
-	}
 	if err := writePrelude(&buf, tr.n, tr.sum, uint64(tr.canonical), uint64(len(tr.enc)), tr.dict); err != nil {
 		t.Fatal(err)
 	}

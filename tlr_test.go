@@ -54,7 +54,7 @@ func TestAssembleAndDisassemble(t *testing.T) {
 	}
 }
 
-func TestMeasureReuseOnLoop(t *testing.T) {
+func TestRunStudyOnLoop(t *testing.T) {
 	p, err := Assemble(testLoop)
 	if err != nil {
 		t.Fatal(err)
@@ -79,7 +79,7 @@ func TestMeasureReuseOnLoop(t *testing.T) {
 	}
 }
 
-func TestMeasureReuseDefaults(t *testing.T) {
+func TestRunStudyDefaults(t *testing.T) {
 	p, err := Assemble(testLoop)
 	if err != nil {
 		t.Fatal(err)
@@ -93,14 +93,14 @@ func TestMeasureReuseDefaults(t *testing.T) {
 	}
 }
 
-func TestMeasureReuseRequiresBudget(t *testing.T) {
+func TestRunStudyRequiresBudget(t *testing.T) {
 	p, _ := Assemble(testLoop)
 	if _, err := runStudy(p, StudyConfig{}); err == nil {
 		t.Error("zero budget should error")
 	}
 }
 
-func TestMeasureReuseSkip(t *testing.T) {
+func TestRunStudySkip(t *testing.T) {
 	p, err := Assemble(testLoop)
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +162,7 @@ func TestWorkloadsFacade(t *testing.T) {
 	}
 }
 
-func TestSimulateRTMFacade(t *testing.T) {
+func TestRunRTM(t *testing.T) {
 	w, _ := WorkloadByName("hydro2d")
 	prog, err := w.Program()
 	if err != nil {
@@ -218,7 +218,7 @@ func TestStrictStudy(t *testing.T) {
 	}
 }
 
-func TestSimulatePipelineFacade(t *testing.T) {
+func TestRunPipeline(t *testing.T) {
 	w, _ := WorkloadByName("su2cor")
 	prog, err := w.Program()
 	if err != nil {
@@ -244,7 +244,7 @@ func TestSimulatePipelineFacade(t *testing.T) {
 	}
 }
 
-func TestMeasureValuePrediction(t *testing.T) {
+func TestRunVP(t *testing.T) {
 	p, err := Assemble(testLoop)
 	if err != nil {
 		t.Fatal(err)

@@ -39,7 +39,7 @@ type traceJSON struct {
 	V      int    `json:"v,omitempty"`
 	Digest string `json:"digest,omitempty"`
 	// Data is a complete trace file in any container version; writers
-	// emit the compressed plane-split (version-4) container, so inline
+	// emit the compressed plane-split (version-5) container, so inline
 	// payloads spend a fraction of the canonical bytes on the wire.
 	Data []byte `json:"data,omitempty"`
 }
