@@ -187,8 +187,8 @@ type sweepBench struct {
 
 	// Reuse-distance analytics: one exact LRU-stack analyze pass
 	// (internal/analytics, the /v1/analyze engine) over a fresh
-	// recording, so the per-record cost of the O(n log n) Fenwick-tree
-	// distance computation is tracked release over release.
+	// recording, in-memory decode included.  CI gates
+	// analyzeNsPerRecord / stepNsPerRecord.
 	AnalyzeRecords     uint64  `json:"analyzeRecords"`
 	AnalyzeSecs        float64 `json:"analyzeSeconds"`
 	AnalyzeNsPerRecord float64 `json:"analyzeNsPerRecord"`

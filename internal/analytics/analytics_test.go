@@ -223,23 +223,161 @@ func TestCompactionPreservesDistances(t *testing.T) {
 	}
 }
 
-func BenchmarkAnalyzer(b *testing.B) {
+// TestTableGrowth checks a memory stream with more distinct words than
+// several doublings of the location table, re-accessed at gaps on both
+// sides of the bin-0 bypass (16) and of the last bin (256) and far
+// back across the growths.
+func TestTableGrowth(t *testing.T) {
+	fast := New()
+	naive := &naiveAnalyzer{}
+	access := func(w uint64) {
+		e := &trace.Exec{}
+		e.AddIn(trace.Mem(w<<6), 0) // aligned words: every key shares its low bits
+		fast.Consume(e)
+		naive.consume(e)
+	}
+	gaps := []uint64{1, 14, 15, 16, 17, 18, 40, 254, 255, 256, 257, 300, 4500}
+	const words = 6000
+	for i := uint64(0); i < words; i++ {
+		access(i)
+		if g := gaps[i%uint64(len(gaps))]; g <= i {
+			access(i - g)
+		}
+	}
+	got, want := fast.Result(), naive.result()
+	if got != want {
+		t.Fatalf("table growth diverged:\n tree  %+v\n naive %+v", got, want)
+	}
+	if got.Mem.Distinct != words {
+		t.Fatalf("distinct = %d, want %d", got.Mem.Distinct, words)
+	}
+	for _, b := range []int{0, 1, 4, 5} {
+		if got.Mem.Bins[b] == 0 {
+			t.Errorf("bin %s never hit: %+v", BinLabel(b), got.Mem)
+		}
+	}
+}
+
+// TestShortGapBoundary sweeps 16 and then 17 memory words round-robin,
+// so every re-access lands at distance 15 or 16 — either side of the
+// timestamp gap below which the tree is not queried.
+func TestShortGapBoundary(t *testing.T) {
+	for _, n := range []uint64{shortGap, shortGap + 1} {
+		a := New()
+		for pass := 0; pass < 3; pass++ {
+			for i := uint64(0); i < n; i++ {
+				e := &trace.Exec{}
+				e.AddIn(trace.Mem(i), 0)
+				a.Consume(e)
+			}
+		}
+		m := a.Result().Mem
+		if b := BinOf(n - 1); m.Cold != n || m.Bins[b] != 2*n {
+			t.Errorf("%d-word sweep: want %d re-accesses in bin %s, got %+v", n, 2*n, BinLabel(b), m)
+		}
+	}
+}
+
+// TestRegisterSpill injects out-of-file register indices into a live
+// stream: each register class must leave its move-to-front list for the
+// general stack mid-stream without changing a distance.
+func TestRegisterSpill(t *testing.T) {
 	w, _ := workload.ByName("compress")
 	prog, err := w.Program()
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
-	var recs []trace.Exec
-	m := cpu.New(prog)
-	if _, err := m.Run(20_000, func(e *trace.Exec) { recs = append(recs, *e) }); err != nil {
-		b.Fatal(err)
+	fast := New()
+	naive := &naiveAnalyzer{}
+	inject := func(e *trace.Exec) {
+		fast.Consume(e)
+		naive.consume(e)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a := New()
-		for j := range recs {
-			a.Consume(&recs[j])
+	n := 0
+	if _, err := cpu.New(prog).Run(4000, func(e *trace.Exec) {
+		inject(e)
+		if n++; n == 1500 {
+			// Touch registers 16-31 too, so the list the spill seeds
+			// from is deeper than bin 0's 16 places.
+			for r := uint8(16); r < 32; r++ {
+				sweep := &trace.Exec{}
+				sweep.AddIn(trace.IntReg(r), 0)
+				inject(sweep)
+			}
+		}
+		if n == 2000 || n == 3000 {
+			odd := &trace.Exec{}
+			odd.AddIn(trace.IntReg(40), 0)
+			odd.AddIn(trace.FPReg(uint8(n/100+13)), 0)
+			odd.AddOut(trace.IntReg(uint8(n/1000)), 0)
+			inject(odd)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	got, want := fast.Result(), naive.result()
+	if got != want {
+		t.Fatalf("register spill diverged:\n fast  %+v\n naive %+v", got, want)
+	}
+	for k, rs := range fast.regs {
+		if rs.spill == nil {
+			t.Errorf("%s class never spilled", ClassLabel(trace.Kind(k)))
 		}
 	}
-	b.SetBytes(int64(len(recs)))
+}
+
+// TestSteadyStateAllocFree re-consumes a stream whose locations the
+// Analyzer has already seen: with no table or tree growth left, the
+// accesses and the compactions they trigger must not allocate.
+func TestSteadyStateAllocFree(t *testing.T) {
+	for _, name := range []string{"compress", "tomcatv"} {
+		recs := record(t, name, 20_000)
+		a := New()
+		consume := func() {
+			for j := range recs {
+				a.Consume(&recs[j])
+			}
+		}
+		consume()
+		if allocs := testing.AllocsPerRun(3, consume); allocs != 0 {
+			t.Errorf("%s: %.1f allocs per warmed pass, want 0", name, allocs)
+		}
+	}
+}
+
+// record returns the first n records of a workload's live execution.
+func record(tb testing.TB, name string, n uint64) []trace.Exec {
+	tb.Helper()
+	w, ok := workload.ByName(name)
+	if !ok {
+		tb.Fatalf("unknown workload %q", name)
+	}
+	prog, err := w.Program()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	recs := make([]trace.Exec, 0, n)
+	if _, err := cpu.New(prog).Run(n, func(e *trace.Exec) { recs = append(recs, *e) }); err != nil {
+		tb.Fatal(err)
+	}
+	return recs
+}
+
+// BenchmarkAnalyzer times one fresh Analyzer over 200k records of an
+// int-heavy (compress) and an fp/memory-heavy (tomcatv) workload, long
+// enough that table growth and compaction run inside the timed loop.
+func BenchmarkAnalyzer(b *testing.B) {
+	for _, name := range []string{"compress", "tomcatv"} {
+		b.Run(name, func(b *testing.B) {
+			recs := record(b, name, 200_000)
+			b.ReportAllocs()
+			for b.Loop() {
+				a := New()
+				for j := range recs {
+					a.Consume(&recs[j])
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(recs)), "ns/record")
+		})
+	}
 }
